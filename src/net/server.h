@@ -93,11 +93,12 @@ std::string_view RequestStageName(RequestStage stage);
 /// every socket; `workers` threads own request execution. A connection is
 /// in the dispatch queue at most once, so its requests execute in order
 /// and its Session is never touched by two workers at once (enforced in
-/// GS_THREAD_SAFETY builds by the Session owner assertion). Dispatch
-/// splits per request: read-shaped requests on an access-free session run
-/// pinned to the SafeTime commit snapshot without executor_mu_ (retrying
-/// on the exclusive path if the code turns out to write); everything else
-/// serializes under executor_mu_.
+/// GS_THREAD_SAFETY builds by the Session owner assertion). One
+/// Dispatch switch serves both modes: read-shaped requests on an
+/// access-free session run it without executor_mu_, pinned to the
+/// SafeTime commit snapshot; everything else — and any read whose code
+/// turns out to write (kReadOnlyRetry) — runs it again under
+/// executor_mu_.
 class Server {
  public:
   /// `executor` must outlive the server. `auth`, when non-null, is
@@ -148,16 +149,16 @@ class Server {
   struct Connection;
   struct Request;
 
-  /// A response before framing: DispatchLocked returns one of these so
-  /// the frame encode (the serialize stage) happens *outside*
-  /// executor_mu_ — the coarse lock holds only real Executor work.
+  /// A response before framing: Dispatch returns one of these so the
+  /// frame encode (the serialize stage) happens *outside* executor_mu_ —
+  /// the coarse lock holds only real Executor work.
   struct Reply {
     MsgType type = MsgType::kOk;
     std::string payload;
-    /// Set by DispatchReadOnly when the request hit a side effect under
-    /// the snapshot pin (kReadOnlyRetry): the caller discards this reply
-    /// and re-runs the request under executor_mu_. Never leaves the
-    /// server — the client sees only the retried outcome.
+    /// Set by ErrorReply for a kReadOnlyRetry status (a side effect under
+    /// the snapshot pin): the caller discards this reply and reruns the
+    /// request under executor_mu_. Never leaves the server — the client
+    /// sees only the retried outcome.
     bool retry_exclusive = false;
   };
 
@@ -197,21 +198,18 @@ class Server {
   /// Executes one request and appends the response frame to the outbox,
   /// observing the queue/lock_wait/execute/serialize stage histograms.
   void HandleRequest(Connection* conn, Request&& request);
-  Reply DispatchLocked(Connection* conn, const Request& request)
-      GS_REQUIRES(executor_mu_);
   /// True when `request` may try the snapshot read path: a read-shaped
   /// type on a logged-in connection whose session has a time dial or a
-  /// transaction with no recorded accesses. Decided outside any lock —
-  /// only this connection's worker mutates that state (per-connection
-  /// FIFO), so the answer cannot go stale before dispatch.
+  /// transaction with no recorded accesses; a commit qualifies only when
+  /// its transaction recorded nothing. Decided outside any lock — only
+  /// this connection's worker mutates that state (per-connection FIFO),
+  /// so the answer cannot go stale before dispatch.
   bool ReadPathEligible(Connection* conn, const Request& request);
-  /// Runs a read-shaped request without executor_mu_, pinned to the
-  /// commit snapshot at SafeTime (unless a dial already fixes the view).
-  /// Answers retry_exclusive when the code attempted a side effect.
-  Reply DispatchReadOnly(Connection* conn, const Request& request);
-  /// Shared SetTimeDial decode/apply (both dispatch paths).
-  Reply DispatchTimeDial(txn::Session* session, const Request& request);
-  /// Renders a failure as a kError reply (and counts it).
+  /// The one request switch: `pinned` on the snapshot read path (no lock;
+  /// queries pinned to SafeTime unless dialed), unpinned under executor_mu_.
+  Reply Dispatch(Connection* conn, const Request& request, bool pinned);
+  /// Renders a failure as a counted kError reply. kReadOnlyRetry is no
+  /// failure: it becomes an uncounted retry_exclusive reply.
   Reply ErrorReply(const Status& status);
   /// Completes flushed responses on `conn`: pops every PendingFlush whose
   /// bytes have reached the socket, observing flush and total latency and

@@ -80,15 +80,21 @@ class Session {
   void UnpinSnapshot() { snapshot_.reset(); }
   bool SnapshotPinned() const { return snapshot_.has_value(); }
 
-  /// True when the session can serve a request on the snapshot read path:
-  /// the dial already fixes an immutable view, there is no active
-  /// transaction (reads will fail identically on either path), or the
-  /// transaction has recorded no accesses yet.
-  bool SnapshotReadEligible() const {
-    if (dial_.has_value()) return true;
+  /// True when there is no active transaction or it has recorded no
+  /// accesses yet: nothing read at now, written, created or staged. Its
+  /// commit is then the manager's lock-free tier 0.
+  bool RecordedNothing() const {
     if (txn_ == nullptr || !txn_->active()) return true;
     return txn_->read_set_size() == 0 && txn_->dirty_object_count() == 0 &&
            txn_->created_count() == 0 && txn_->workspace_size() == 0;
+  }
+
+  /// True when the session can serve a read on the snapshot read path:
+  /// the dial already fixes an immutable view, or the transaction has
+  /// recorded nothing (with none active, reads fail identically on
+  /// either path).
+  bool SnapshotReadEligible() const {
+    return dial_.has_value() || RecordedNothing();
   }
 
   // --- Data access (forwarders applying the time dial) ------------------------

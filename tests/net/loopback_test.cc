@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,7 +20,9 @@
 #include "executor/executor.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/wire.h"
 #include "stdm/gsdm_bridge.h"
+#include "telemetry/metrics.h"
 
 namespace gemstone::net {
 namespace {
@@ -165,14 +168,50 @@ TEST_F(LoopbackTest, TimeDialReadsThePast) {
 
 TEST_F(LoopbackTest, MalformedSetTimeDialPayloadIsAnError) {
   StartServer();
-  Client client = Connected();
-  ASSERT_TRUE(client.Login().ok());
-  ASSERT_TRUE(client.SendRaw(EncodeFrame(MsgType::kSetTimeDial, "")).ok());
-  auto frame = client.ReadFrame();
-  ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(frame->type, MsgType::kError);
-  // Still connected.
-  EXPECT_EQ(client.Execute("1 + 1").ValueOrDie(), "2");
+  // Both legs of the dispatch switch: a fresh session runs these requests
+  // on the snapshot read path, one holding an uncommitted write under the
+  // executor lock.
+  Client fresh = Connected();
+  ASSERT_TRUE(fresh.Login().ok());
+  Client writer = Connected();
+  ASSERT_TRUE(writer.Login().ok());
+  ASSERT_TRUE(writer.Execute("Held := Object new").ok());
+  auto& registry = telemetry::MetricsRegistry::Global();
+  const telemetry::Counter* requests =
+      registry.GetCounter("net.read_path_requests");
+  const telemetry::Counter* retries =
+      registry.GetCounter("net.read_path_retries");
+
+  struct Case {
+    MsgType type;
+    std::string payload;
+  };
+  const Case cases[] = {
+      {MsgType::kSetTimeDial, ""},
+      {MsgType::kSetTimeDial, std::string{static_cast<char>(kDialExplicit),
+                                          '\0'}},
+      {MsgType::kExplain, ""},
+  };
+  for (Client* client : {&fresh, &writer}) {
+    const bool read_path = client == &fresh;
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(read_path ? "read path" : "exclusive path") +
+                   ", type " + std::to_string(static_cast<int>(c.type)) +
+                   ", payload bytes " + std::to_string(c.payload.size()));
+      const std::uint64_t requests_before = requests->value();
+      const std::uint64_t retries_before = retries->value();
+      ASSERT_TRUE(client->SendRaw(EncodeFrame(c.type, c.payload)).ok());
+      auto frame = client->ReadFrame();
+      ASSERT_TRUE(frame.ok());
+      EXPECT_EQ(frame->type, MsgType::kError);
+      EXPECT_EQ(DecodeErrorPayload(frame->payload).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(requests->value(), requests_before + (read_path ? 1u : 0u));
+      EXPECT_EQ(retries->value(), retries_before);
+      // Still connected.
+      EXPECT_EQ(client->Execute("1 + 1").ValueOrDie(), "2");
+    }
+  }
 }
 
 class StdmLoopbackTest : public LoopbackTest {

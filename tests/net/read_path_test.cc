@@ -1,8 +1,10 @@
 // Snapshot read-path tests (DESIGN.md §12): read-shaped requests execute
 // without the executor lock, so they complete while a writer is stalled
 // inside it; a request that turns out to write retries on the exclusive
-// path transparently; and a connection that dies mid-request still gets
-// its session (and uncommitted transaction) torn down.
+// path transparently; a commit that publishes a write never runs on the
+// read path, even with a dial set; and a connection that dies
+// mid-request still gets its session (and uncommitted transaction) torn
+// down.
 //
 // Runs in the `tsan` tree: the whole point is concurrent execution of
 // reads against a mutating session.
@@ -149,6 +151,32 @@ TEST_F(ReadPathTest, WritingRequestRetriesOnTheExclusivePath) {
   EXPECT_GE(JsonCounter(page, "read_path_requests"),
             JsonCounter(page, "read_path_retries"))
       << page;
+}
+
+TEST_F(ReadPathTest, DialedCommitOfAWriteTakesTheExclusivePath) {
+  StartServer();
+  Client client = Connected();
+  ASSERT_TRUE(client.Login().ok());
+  ASSERT_TRUE(
+      client.Execute("Obj := Object new. Obj instVarNamed: 'n' put: 7")
+          .ok());
+  // The dial makes the session's reads eligible again, but not its
+  // commit: validate, persist and publish must run under executor_mu_.
+  ASSERT_TRUE(client.SetTimeDialToSafeTime().ok());
+
+  Client monitor = Connected();
+  const std::uint64_t before =
+      JsonCounter(monitor.Statusz().ValueOrDie(), "read_path_requests");
+  auto committed = client.Commit();
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  const std::string page = monitor.Statusz().ValueOrDie();
+  EXPECT_EQ(JsonCounter(page, "read_path_requests"), before)
+      << "a commit that publishes a write ran on the read path: " << page;
+
+  // The reply's commit time names a state that holds the write.
+  ASSERT_TRUE(client.Begin().ok());
+  ASSERT_TRUE(client.SetTimeDial(committed.value()).ok());
+  EXPECT_EQ(client.Execute("Obj instVarNamed: 'n'").ValueOrDie(), "7");
 }
 
 class StdmReadPathTest : public ReadPathTest {

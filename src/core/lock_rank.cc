@@ -25,9 +25,8 @@ std::string_view LockRankName(LockRank rank) {
     case LockRank::kStorageHeatmap: return "storage.heatmap";
     case LockRank::kTelemetryObservatory: return "telemetry.observatory";
     case LockRank::kTelemetryMetrics: return "telemetry.metrics";
-    case LockRank::kTelemetryTrace: return "telemetry.trace";
     case LockRank::kTelemetryProfiler: return "telemetry.profiler";
-    case LockRank::kFlightRecorderSlot: return "telemetry.flightrec_slot";
+    case LockRank::kTelemetryRingSlot: return "telemetry.ring_slot";
     case LockRank::kFlightRecorderConfig: return "telemetry.flightrec_config";
     case LockRank::kLeaf: return "leaf";
     case LockRank::kRankCount: break;

@@ -75,9 +75,9 @@ enum class LockRank : std::uint8_t {
   kTelemetryObservatory,  // telemetry::Observatory::mu_ (the ring; never
                           // held while sampling the registry)
   kTelemetryMetrics,   // telemetry::MetricsRegistry::mu_
-  kTelemetryTrace,     // telemetry::TraceBuffer::mu_
   kTelemetryProfiler,  // telemetry::Profiler::mu_
-  kFlightRecorderSlot,    // telemetry::FlightRecorder::Slot::mu
+  kTelemetryRingSlot,     // telemetry::EventRing<...>::Slot::mu (span
+                          // and flight-event rings; never nested)
   kFlightRecorderConfig,  // telemetry::FlightRecorder::config_mu_
   // -- Unconstrained leaf ----------------------------------------------------
   // For mutexes with no lock-graph neighbors (test fixtures, tools). A

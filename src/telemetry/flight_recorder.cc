@@ -1,6 +1,9 @@
 #include "telemetry/flight_recorder.h"
 
-#include <algorithm>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -45,29 +48,18 @@ FlightRecorder& FlightRecorder::Global() {
   return *recorder;
 }
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
-
 void FlightRecorder::Record(FlightEventKind kind, std::uint64_t session,
                             std::uint64_t a, std::uint64_t b,
                             std::string_view detail) {
-  const std::uint64_t seq =
-      next_seq_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[seq % capacity_];
-  {
-    MutexLock lock(slot.mu);
-    slot.event.seq = seq;
-    slot.event.ts_ns = TraceNowNs();
-    slot.event.kind = kind;
-    slot.event.session = session;
-    // Request attribution for free: whatever wire request this thread is
-    // currently serving (0 when recording outside any dispatch).
-    slot.event.trace_id = CurrentTraceId();
-    slot.event.a = a;
-    slot.event.b = b;
-    slot.event.detail.assign(detail);
-  }
+  // Request attribution for free: whatever wire request this thread is
+  // currently serving (0 when recording outside any dispatch).
+  ring_.Record(FlightEvent{.ts_ns = TraceNowNs(),
+                           .kind = kind,
+                           .session = session,
+                           .trace_id = CurrentTraceId(),
+                           .a = a,
+                           .b = b,
+                           .detail = std::string(detail)});
   // Registry view of the event flow (exporters pick this up for free).
   static Counter* recorded =
       MetricsRegistry::Global().GetCounter("flightrec.events");
@@ -87,29 +79,17 @@ void FlightRecorder::Record(FlightEventKind kind, std::uint64_t session,
   }
 }
 
-std::vector<FlightEvent> FlightRecorder::Snapshot() const {
-  std::vector<FlightEvent> out;
-  out.reserve(capacity_);
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    const Slot& slot = slots_[i];
-    MutexLock lock(slot.mu);
-    if (slot.event.seq != 0) out.push_back(slot.event);
+std::string FlightRecorder::RenderJson(std::vector<FlightEvent> events,
+                                       std::size_t limit) const {
+  // Keeps the newest `limit` events (Snapshot is sequence-ordered).
+  if (limit != 0 && events.size() > limit) {
+    events.erase(events.begin(),
+                 events.end() - static_cast<std::ptrdiff_t>(limit));
   }
-  std::sort(out.begin(), out.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              return a.seq < b.seq;
-            });
-  return out;
-}
-
-namespace {
-
-std::string DumpEventsJson(std::size_t capacity, std::uint64_t recorded,
-                           std::uint64_t dropped,
-                           const std::vector<FlightEvent>& events) {
   std::ostringstream out;
-  out << "{\"capacity\":" << capacity << ",\"recorded\":" << recorded
-      << ",\"dropped\":" << dropped << ",\"events\":[";
+  out << "{\"capacity\":" << capacity()
+      << ",\"recorded\":" << total_recorded()
+      << ",\"dropped\":" << ring_.dropped() << ",\"events\":[";
   bool first = true;
   for (const FlightEvent& event : events) {
     if (!first) out << ",";
@@ -125,45 +105,34 @@ std::string DumpEventsJson(std::size_t capacity, std::uint64_t recorded,
   return out.str();
 }
 
-}  // namespace
-
-namespace {
-/// Keeps the newest `limit` events (Snapshot is sequence-ordered).
-void TrimToNewest(std::vector<FlightEvent>* events, std::size_t limit) {
-  if (limit != 0 && events->size() > limit) {
-    events->erase(events->begin(),
-                  events->end() - static_cast<std::ptrdiff_t>(limit));
-  }
-}
-}  // namespace
-
 std::string FlightRecorder::DumpJson(std::size_t limit) const {
-  std::vector<FlightEvent> events = Snapshot();
-  const std::uint64_t recorded = total_recorded();
-  const std::uint64_t dropped = recorded - events.size();
-  TrimToNewest(&events, limit);
-  return DumpEventsJson(capacity_, recorded, dropped, events);
+  return RenderJson(Snapshot(), limit);
 }
 
 std::string FlightRecorder::DumpJsonOfKind(FlightEventKind kind,
                                            std::size_t limit) const {
   std::vector<FlightEvent> events = Snapshot();
-  const std::uint64_t recorded = total_recorded();
-  const std::uint64_t dropped = recorded - events.size();
-  events.erase(std::remove_if(events.begin(), events.end(),
-                              [kind](const FlightEvent& e) {
-                                return e.kind != kind;
-                              }),
-               events.end());
-  TrimToNewest(&events, limit);
-  return DumpEventsJson(capacity_, recorded, dropped, events);
+  std::erase_if(events,
+                [kind](const FlightEvent& e) { return e.kind != kind; });
+  return RenderJson(std::move(events), limit);
 }
 
 bool FlightRecorder::DumpToFile(const std::string& path) const {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) return false;
-  file << DumpJson() << "\n";
-  return static_cast<bool>(file);
+  // Auto-dumps fire from whichever thread records a failure, under
+  // different locks, so each writer fills its own temp file and renames
+  // it over `path`: the file is replaced whole, never written by two.
+  static std::atomic<std::uint64_t> next_temp{0};
+  const std::string temp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(next_temp.fetch_add(1, std::memory_order_relaxed));
+  {
+    std::ofstream file(temp, std::ios::trunc);
+    file << DumpJson() << "\n";
+    file.close();
+    if (file && std::rename(temp.c_str(), path.c_str()) == 0) return true;
+  }
+  std::remove(temp.c_str());
+  return false;
 }
 
 void FlightRecorder::SetAutoDumpPath(std::string path) {
@@ -174,14 +143,6 @@ void FlightRecorder::SetAutoDumpPath(std::string path) {
 std::string FlightRecorder::auto_dump_path() const {
   MutexLock lock(config_mu_);
   return auto_dump_path_;
-}
-
-void FlightRecorder::ClearForTest() {
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    Slot& slot = slots_[i];
-    MutexLock lock(slot.mu);
-    slot.event = FlightEvent{};
-  }
 }
 
 }  // namespace gemstone::telemetry

@@ -1,15 +1,14 @@
 #ifndef GEMSTONE_TELEMETRY_FLIGHT_RECORDER_H_
 #define GEMSTONE_TELEMETRY_FLIGHT_RECORDER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/annotations.h"
 #include "core/sync.h"
+#include "telemetry/event_ring.h"
 
 namespace gemstone::telemetry {
 
@@ -61,27 +60,25 @@ struct FlightEvent {
 /// events that can be dumped as JSON on demand and dumps itself when
 /// something goes wrong (abort, conflict, storage fault) if an auto-dump
 /// path is armed. Think aviation FDR: cheap enough to leave running,
-/// self-describing when the crash matrix bites.
-///
-/// Concurrency: writers claim a slot with one wait-free fetch_add, then
-/// fill it under that slot's own mutex — two writers contend only when
-/// the ring wraps onto itself, and never with writers of other slots.
-/// Readers lock each slot briefly while copying. TSan-clean by
-/// construction (tests/concurrency/flight_recorder_stress_test.cc).
+/// self-describing when the crash matrix bites. The ring is an
+/// EventRing, so recording is a wait-free slot claim plus one slot lock.
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 1024;
-  static constexpr std::uint64_t kDefaultSlowOpNs = 100'000'000;  // 100 ms
+  /// Spans at least this long are recorded as kSlowOp events (see
+  /// ScopedSpan).
+  static constexpr std::uint64_t kSlowOpNs = 100'000'000;  // 100 ms
 
   static FlightRecorder& Global();
 
-  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
+  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity)
+      : ring_(capacity) {}
 
   void Record(FlightEventKind kind, std::uint64_t session, std::uint64_t a,
               std::uint64_t b, std::string_view detail);
 
   /// Retained events in sequence order.
-  std::vector<FlightEvent> Snapshot() const;
+  std::vector<FlightEvent> Snapshot() const { return ring_.Snapshot(); }
 
   /// {"capacity":..,"recorded":..,"dropped":..,"events":[{..},..]}.
   /// `limit` keeps only the newest events (0 = all retained); the
@@ -93,46 +90,34 @@ class FlightRecorder {
   std::string DumpJsonOfKind(FlightEventKind kind, std::size_t limit = 0)
       const;
 
-  /// Writes DumpJson() to `path` (truncating). Returns false on I/O error
-  /// — callers on failure paths cannot do much about it, but tests can.
+  /// Replaces `path` with DumpJson(): the dump goes to a temp file beside
+  /// `path` that is then renamed over it, so concurrent dumps never
+  /// interleave in one file. Returns false on I/O error — callers on
+  /// failure paths cannot do much about it, but tests can.
   bool DumpToFile(const std::string& path) const;
 
   /// Arms automatic dumps: every subsequent abort/conflict/storage-fault
   /// event rewrites `path` with the current ring contents, so the file
-  /// always holds the recorder's view at the *last* failure. Empty
-  /// disarms. The write happens on the recording thread.
+  /// always holds one whole dump taken at the latest failure (of racing
+  /// failures, whichever dump is renamed last). Empty disarms. The write
+  /// happens on the recording thread.
   void SetAutoDumpPath(std::string path);
   std::string auto_dump_path() const;
 
-  /// Spans at least this long are recorded as kSlowOp events (see
-  /// ScopedSpan). 0 disables slow-op capture.
-  void set_slow_op_threshold_ns(std::uint64_t ns) {
-    slow_op_threshold_ns_.store(ns, std::memory_order_relaxed);
-  }
-  std::uint64_t slow_op_threshold_ns() const {
-    return slow_op_threshold_ns_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t capacity() const { return capacity_; }
-  /// Events ever recorded, including those already overwritten.
-  std::uint64_t total_recorded() const {
-    return next_seq_.load(std::memory_order_relaxed) - 1;
-  }
+  std::size_t capacity() const { return ring_.capacity(); }
+  /// Events recorded since construction (or ClearForTest), including
+  /// those already overwritten.
+  std::uint64_t total_recorded() const { return ring_.total_recorded(); }
 
   /// Testing hook: forgets every event (sequence numbering continues).
-  void ClearForTest();
+  void ClearForTest() { ring_.Clear(); }
 
  private:
-  struct Slot {
-    mutable Mutex mu{LockRank::kFlightRecorderSlot,
-                     "telemetry.flightrec_slot_mu"};
-    FlightEvent event GS_GUARDED_BY(mu);  // seq 0 = never written
-  };
+  /// DumpJson's body over `events`, trimmed to the newest `limit`.
+  std::string RenderJson(std::vector<FlightEvent> events,
+                         std::size_t limit) const;
 
-  const std::size_t capacity_;
-  std::atomic<std::uint64_t> next_seq_{1};
-  std::atomic<std::uint64_t> slow_op_threshold_ns_{kDefaultSlowOpNs};
-  std::unique_ptr<Slot[]> slots_;
+  EventRing<FlightEvent> ring_;
 
   mutable Mutex config_mu_{LockRank::kFlightRecorderConfig,
                            "telemetry.flightrec_config_mu"};

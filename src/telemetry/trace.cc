@@ -58,67 +58,9 @@ TraceBuffer& TraceBuffer::Global() {
   return *buffer;
 }
 
-TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity) {
-  ring_.reserve(capacity_);
-}
-
-void TraceBuffer::Record(const SpanRecord& span) {
-  // Registry pointer resolved outside mu_ (GetCounter takes its own lock).
-  static Counter* dropped_counter =
-      MetricsRegistry::Global().GetCounter("telemetry.dropped_spans");
-  bool wrapped = false;
-  {
-    MutexLock lock(mu_);
-    if (ring_.size() < capacity_) {
-      ring_.push_back(span);
-    } else {
-      ring_[next_] = span;
-      ++dropped_;
-      wrapped = true;
-    }
-    next_ = (next_ + 1) % capacity_;
-    ++recorded_;
-  }
-  if (wrapped) dropped_counter->Increment();
-}
-
-std::vector<SpanRecord> TraceBuffer::Snapshot() const {
-  MutexLock lock(mu_);
-  std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // `next_` is the oldest slot once the ring has wrapped.
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(next_ + i) % capacity_]);
-    }
-  }
-  return out;
-}
-
-void TraceBuffer::Clear() {
-  MutexLock lock(mu_);
-  ring_.clear();
-  next_ = 0;
-  recorded_ = 0;
-  dropped_ = 0;
-}
-
-std::size_t TraceBuffer::size() const {
-  MutexLock lock(mu_);
-  return ring_.size();
-}
-
-std::uint64_t TraceBuffer::total_recorded() const {
-  MutexLock lock(mu_);
-  return recorded_;
-}
-
-std::uint64_t TraceBuffer::dropped() const {
-  MutexLock lock(mu_);
-  return dropped_;
-}
+TraceBuffer::TraceBuffer(std::size_t capacity)
+    : EventRing(capacity, MetricsRegistry::Global().GetCounter(
+                              "telemetry.dropped_spans")) {}
 
 ScopedSpan::ScopedSpan(const char* name, Histogram* latency_us)
     : name_(name),
@@ -148,12 +90,11 @@ ScopedSpan::~ScopedSpan() {
   span.duration_ns = duration_ns;
   TraceBuffer::Global().Record(span);
   if (latency_us_ != nullptr) latency_us_->Observe(duration_ns / 1000);
-  // Slow-op capture: spans past the flight-recorder threshold are worth
-  // remembering even after the trace ring has long since wrapped.
-  FlightRecorder& recorder = FlightRecorder::Global();
-  const std::uint64_t threshold = recorder.slow_op_threshold_ns();
-  if (threshold != 0 && duration_ns >= threshold) {
-    recorder.Record(FlightEventKind::kSlowOp, 0, duration_ns, depth_, name_);
+  // Slow-op capture: spans this long are worth remembering even after
+  // the span ring has long since wrapped.
+  if (duration_ns >= FlightRecorder::kSlowOpNs) {
+    FlightRecorder::Global().Record(FlightEventKind::kSlowOp, 0, duration_ns,
+                                    depth_, name_);
   }
 }
 

@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "core/annotations.h"
-#include "core/sync.h"
+#include "telemetry/event_ring.h"
 #include "telemetry/metrics.h"
 
 namespace gemstone::telemetry {
@@ -32,40 +30,19 @@ struct SpanRecord {
   std::uint64_t parent_span_id = 0;  // 0 = root of its thread's tree
   std::uint32_t thread_id = 0;       // small per-thread ordinal (tid in
                                      // the Chrome trace-event export)
+  std::uint64_t seq = 0;             // ring order, set by EventRing
 };
 
-/// Bounded ring of recently completed spans. When full, the oldest record
-/// is overwritten — tracing never blocks or grows without bound.
-class TraceBuffer {
+/// The span stream: the ring of recently completed spans, oldest
+/// overwritten when full. Ring wraps are mirrored into the registry
+/// counter `telemetry.dropped_spans` so exporters see them too.
+class TraceBuffer : public EventRing<SpanRecord> {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
 
   static TraceBuffer& Global();
 
   explicit TraceBuffer(std::size_t capacity = kDefaultCapacity);
-
-  void Record(const SpanRecord& span);
-
-  /// Oldest-to-newest copy of the retained records.
-  std::vector<SpanRecord> Snapshot() const;
-
-  void Clear();
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const;
-  /// Spans ever recorded, including those already overwritten.
-  std::uint64_t total_recorded() const;
-  /// Spans overwritten because the ring wrapped. Mirrored into the
-  /// registry counter `telemetry.dropped_spans` so exporters see it too.
-  std::uint64_t dropped() const;
-
- private:
-  const std::size_t capacity_;
-  mutable Mutex mu_{LockRank::kTelemetryTrace, "telemetry.trace_mu"};
-  std::vector<SpanRecord> ring_ GS_GUARDED_BY(mu_);
-  std::size_t next_ GS_GUARDED_BY(mu_) = 0;  // slot the next record lands in
-  std::uint64_t recorded_ GS_GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ GS_GUARDED_BY(mu_) = 0;
 };
 
 /// RAII span: records wall time from construction to destruction into the

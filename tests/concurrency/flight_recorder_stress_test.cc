@@ -70,23 +70,5 @@ TEST(FlightRecorderStressTest, RacingWritersAndReadersStayCoherent) {
   }
 }
 
-TEST(FlightRecorderStressTest, RacingThresholdUpdatesAreBenign) {
-  FlightRecorder recorder(16);
-  std::thread toggler([&recorder] {
-    for (int i = 0; i < 5000; ++i) {
-      recorder.set_slow_op_threshold_ns(i % 2 == 0 ? 0 : 1);
-    }
-  });
-  std::thread writer([&recorder] {
-    for (int i = 0; i < 5000; ++i) {
-      recorder.Record(FlightEventKind::kSlowOp, 0,
-                      static_cast<std::uint64_t>(i), 0, "race");
-    }
-  });
-  toggler.join();
-  writer.join();
-  EXPECT_EQ(recorder.total_recorded(), 5000u);
-}
-
 }  // namespace
 }  // namespace gemstone::telemetry

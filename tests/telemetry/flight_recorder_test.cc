@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "../support/minijson.h"
 #include "telemetry/trace.h"
@@ -131,14 +133,13 @@ TEST(FlightRecorderTest, FailureEventsAutoDumpWhenArmed) {
 
 TEST(FlightRecorderTest, SlowSpansLandInTheGlobalRecorder) {
   FlightRecorder& global = FlightRecorder::Global();
-  const std::uint64_t saved = global.slow_op_threshold_ns();
   global.ClearForTest();
-  global.set_slow_op_threshold_ns(1);  // everything is slow now
   {
     ScopedSpan span("flightrec.slow_span_test");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(FlightRecorder::kSlowOpNs) +
+        std::chrono::milliseconds(1));
   }
-  global.set_slow_op_threshold_ns(saved);
 
   bool found = false;
   for (const auto& event : global.Snapshot()) {
@@ -146,26 +147,61 @@ TEST(FlightRecorderTest, SlowSpansLandInTheGlobalRecorder) {
         event.detail == "flightrec.slow_span_test") {
       found = true;
       EXPECT_GE(event.a, 1000000u);  // at least the 1 ms sleep
+      EXPECT_GE(event.a, FlightRecorder::kSlowOpNs);
     }
   }
   EXPECT_TRUE(found);
   global.ClearForTest();
 }
 
-TEST(FlightRecorderTest, ThresholdZeroDisablesSlowOpCapture) {
-  FlightRecorder& global = FlightRecorder::Global();
-  const std::uint64_t saved = global.slow_op_threshold_ns();
-  global.ClearForTest();
-  global.set_slow_op_threshold_ns(0);
-  {
-    ScopedSpan span("flightrec.never_slow");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+// Failure events record under different locks (aborts and conflicts
+// under the store lock, storage faults under each device lock), so
+// auto-dumps race. The armed file must always hold one whole dump: while
+// the writers race, a reader finds either no file yet or a parsable one,
+// and after each round the final file parses.
+TEST(FlightRecorderTest, RacingAutoDumpsLeaveOneParsableFile) {
+  constexpr int kRounds = 50;
+  constexpr int kThreads = 4;
+  constexpr int kEventsPerThread = 20;
+  const std::string path = TempPath("flightrec_racing_dumps.json");
+  for (int round = 0; round < kRounds; ++round) {
+    std::remove(path.c_str());
+    FlightRecorder recorder(64);
+    recorder.SetAutoDumpPath(path);
+    std::atomic<int> writers_left{kThreads};
+    std::atomic<std::size_t> torn_size{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&recorder, &writers_left, t] {
+        for (int i = 0; i < kEventsPerThread; ++i) {
+          recorder.Record(FlightEventKind::kTxnConflict,
+                          static_cast<std::uint64_t>(t),
+                          static_cast<std::uint64_t>(i), 0, "w-w race");
+        }
+        writers_left.fetch_sub(1);
+      });
+    }
+    threads.emplace_back([&path, &writers_left, &torn_size] {
+      while (writers_left.load() > 0) {
+        std::ifstream in(path, std::ios::binary);
+        if (!in) continue;  // no dump yet
+        std::ostringstream body;
+        body << in.rdbuf();
+        if (!gemstone::testsupport::IsValidJson(body.str())) {
+          torn_size.store(body.str().size() + 1);
+        }
+      }
+    });
+    for (std::thread& thread : threads) thread.join();
+    ASSERT_EQ(torn_size.load(), 0u)
+        << "round " << round << ": a reader saw a partial dump of "
+        << (torn_size.load() - 1) << " bytes";
+    const std::string body = ReadFile(path);
+    ASSERT_TRUE(gemstone::testsupport::IsValidJson(body))
+        << "round " << round << " left a torn file of " << body.size()
+        << " bytes";
   }
-  global.set_slow_op_threshold_ns(saved);
-  for (const auto& event : global.Snapshot()) {
-    EXPECT_NE(event.detail, "flightrec.never_slow");
-  }
-  global.ClearForTest();
+  std::remove(path.c_str());
 }
 
 TEST(FlightRecorderTest, EventsCaptureTheBoundTraceContext) {

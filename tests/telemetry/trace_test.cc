@@ -41,13 +41,16 @@ TEST(TraceBufferTest, RingWrapsOverwritingOldest) {
 }
 
 TEST(TraceBufferTest, ClearEmptiesRetainedRecords) {
-  TraceBuffer buffer(4);
-  SpanRecord span;
-  span.name = "s";
-  buffer.Record(span);
-  buffer.Clear();
-  EXPECT_EQ(buffer.size(), 0u);
-  EXPECT_TRUE(buffer.Snapshot().empty());
+  for (const std::size_t capacity : {4u, 0u}) {  // 0 is clamped to 1 slot
+    TraceBuffer buffer(capacity);
+    SpanRecord span;
+    span.name = "s";
+    buffer.Record(span);
+    EXPECT_EQ(buffer.size(), 1u);
+    buffer.Clear();
+    EXPECT_EQ(buffer.size(), 0u);
+    EXPECT_TRUE(buffer.Snapshot().empty());
+  }
 }
 
 TEST(ScopedSpanTest, NestedSpansRecordDepthAndCloseInnerFirst) {

@@ -301,8 +301,13 @@ int main(int argc, char** argv) {
           if (it == q.end()) {
             return gemstone::telemetry::TraceIndexJson(spans, limit);
           }
+          // id 0 means "every span", so a malformed id must not fall
+          // through to it and export the whole ring.
           std::uint64_t id = 0;
-          ParseUint(it->second.c_str(), &id);
+          if (!ParseUint(it->second.c_str(), &id)) {
+            return std::string(
+                "{\"error\":\"id must be a decimal trace id\"}");
+          }
           return gemstone::telemetry::TraceEventsJson(spans, id, 0);
         }));
     admin.AddRoute(

@@ -1,7 +1,7 @@
 // C3 — the Commit Manager's safe group writes (§6): commit cost vs. group
-// size. Expected shape: per-commit overhead (catalog rewrite + root flip)
-// is amortized as the group grows — committing N objects in one group is
-// far cheaper than N single-object commits.
+// size. Expected shape: per-commit overhead (the rewritten catalog pages
+// + root flip) is amortized as the group grows — committing N objects in
+// one group is far cheaper than N single-object commits.
 
 #include <benchmark/benchmark.h>
 
@@ -117,11 +117,43 @@ void BM_CommitWorkShape(benchmark::State& state) {
   }
 }
 
+// Catalog write volume, also a gated work-shape gauge: preload 4,096
+// objects in one commit, then make 64 single-object updates strided
+// across the catalog. The gauge is engine.bytes_written per update — the
+// object's image, the catalog bytes the commit rewrites, and the root.
+void BM_CatalogBytesPerCommit(benchmark::State& state) {
+  for (auto _ : state) {
+    storage::SimulatedDisk disk(65536, 8192);
+    storage::StorageEngine engine(&disk);
+    if (!engine.Format().ok()) return;
+    ObjectMemory memory;
+    constexpr int kPreload = 4096;
+    constexpr int kCommits = 64;
+    std::vector<GsObject> objects = MakeBatch(memory, 1000, kPreload);
+    std::vector<const GsObject*> ptrs;
+    for (const auto& o : objects) ptrs.push_back(&o);
+    if (!engine.CommitObjects(ptrs, memory.symbols()).ok()) return;
+    const std::uint64_t before = engine.stats().bytes_written;
+    for (int c = 0; c < kCommits; ++c) {
+      GsObject& object = objects[static_cast<std::size_t>(c) * 64];
+      object.WriteNamed(memory.symbols().Intern("payload"),
+                        static_cast<TxnTime>(c + 2),
+                        Value::String(std::string(64, 'y')));
+      if (!engine.CommitObjects({&object}, memory.symbols()).ok()) return;
+    }
+    telemetry::MetricsRegistry::Global()
+        .GetGauge("commit.bench.catalog_bytes_per_commit")
+        ->Set(static_cast<std::int64_t>(
+            (engine.stats().bytes_written - before) / kCommits));
+  }
+}
+
 }  // namespace
 
 BENCHMARK(BM_GroupCommit)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 BENCHMARK(BM_SingleObjectCommits);
 BENCHMARK(BM_RootFlip);
 BENCHMARK(BM_CommitWorkShape)->Iterations(1);
+BENCHMARK(BM_CatalogBytesPerCommit)->Iterations(1);
 
 GS_BENCH_MAIN("commit");

@@ -8,17 +8,37 @@
 namespace gemstone::storage {
 
 namespace {
-constexpr std::uint32_t kRootMagic = 0x47535254;  // "GSRT"
+constexpr std::uint32_t kRootMagic = 0x47535250;  // "GSRP"
+// magic + epoch + page count + pages hash + trailing checksum.
+constexpr std::size_t kRootFixedBytes = 4 + 8 + 4 + 8 + 8;
+
+// Binds a root to the exact page versions it names.
+std::uint64_t HashPageChecksums(const std::vector<std::uint64_t>& checksums) {
+  ByteWriter out;
+  for (std::uint64_t c : checksums) out.PutU64(c);
+  return Fnv1a(out.bytes());
+}
 }  // namespace
+
+std::size_t CommitManager::RootBytes(std::size_t pages) {
+  return kRootFixedBytes + pages * sizeof(TrackId);
+}
+
+std::uint64_t CommitManager::SealPage(std::vector<std::uint8_t>* body) {
+  const std::uint64_t checksum = Fnv1a(*body);
+  ByteWriter trailer;
+  trailer.PutU64(checksum);
+  body->insert(body->end(), trailer.bytes().begin(), trailer.bytes().end());
+  return checksum;
+}
 
 Status CommitManager::WriteRoot(const RootState& root) {
   ByteWriter out;
   out.PutU32(kRootMagic);
   out.PutU64(root.epoch);
-  out.PutU32(root.catalog_len);
-  out.PutU64(root.catalog_checksum);
-  out.PutU32(static_cast<std::uint32_t>(root.catalog_tracks.size()));
-  for (TrackId t : root.catalog_tracks) out.PutU32(t);
+  out.PutU32(static_cast<std::uint32_t>(root.pages.size()));
+  out.PutU64(root.pages_hash);
+  for (TrackId t : root.pages) out.PutU32(t);
   const std::uint64_t checksum = Fnv1a(out.bytes());
   out.PutU64(checksum);
   const TrackId slot =
@@ -33,6 +53,7 @@ Status CommitManager::Format() {
   // slot A, preserving the even/odd slot alternation.
   RootState empty;
   empty.epoch = 0;
+  empty.pages_hash = HashPageChecksums({});
   GS_RETURN_IF_ERROR(WriteRoot(empty));
   RootState second = empty;
   second.epoch = 1;
@@ -66,23 +87,16 @@ std::vector<RootState> CommitManager::RecoverRootCandidates() const {
     if (!magic.ok() || magic.value() != kRootMagic) continue;
     RootState root;
     auto epoch = in.GetU64();
-    auto len = in.GetU32();
-    auto csum = in.GetU64();
-    auto ntracks = in.GetU32();
-    if (!epoch.ok() || !len.ok() || !csum.ok() || !ntracks.ok()) continue;
+    auto npages = in.GetU32();
+    auto hash = in.GetU64();
+    if (!epoch.ok() || !npages.ok() || !hash.ok()) continue;
+    if (in.remaining() != npages.value() * sizeof(TrackId)) continue;
     root.epoch = epoch.value();
-    root.catalog_len = len.value();
-    root.catalog_checksum = csum.value();
-    bool ok = true;
-    for (std::uint32_t i = 0; i < ntracks.value(); ++i) {
-      auto t = in.GetU32();
-      if (!t.ok()) {
-        ok = false;
-        break;
-      }
-      root.catalog_tracks.push_back(t.value());
+    root.pages_hash = hash.value();
+    root.pages.reserve(npages.value());
+    for (std::uint32_t i = 0; i < npages.value(); ++i) {
+      root.pages.push_back(in.GetU32().value());
     }
-    if (!ok || in.remaining() != 0) continue;
     candidates.push_back(std::move(root));
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -92,18 +106,19 @@ std::vector<RootState> CommitManager::RecoverRootCandidates() const {
   return candidates;
 }
 
-Status CommitManager::CommitGroup(
-    const std::vector<std::pair<TrackId, std::vector<std::uint8_t>>>&
-        data_tracks,
-    const std::vector<TrackId>& catalog_tracks,
-    const std::vector<std::uint8_t>& catalog_bytes,
-    std::uint64_t next_epoch) {
-  const std::size_t chunk = disk_->track_capacity();
-  const std::size_t needed = (catalog_bytes.size() + chunk - 1) / chunk;
+Status CommitManager::CommitGroup(const TrackWrites& data_tracks,
+                                  const TrackWrites& page_writes,
+                                  const std::vector<PageRef>& pages,
+                                  std::uint64_t next_epoch) {
   // Validate before any track is written: a doomed commit performs zero
   // I/O, so nothing needs undoing.
-  if (needed > catalog_tracks.size()) {
-    return Status::InvalidArgument("catalog does not fit allotted tracks");
+  for (const auto& [track, image] : page_writes) {
+    if (image.size() > disk_->track_capacity()) {
+      return Status::InvalidArgument("catalog page exceeds a track");
+    }
+  }
+  if (RootBytes(pages.size()) > disk_->track_capacity()) {
+    return Status::InvalidArgument("catalog page list does not fit the root");
   }
   {
     TELEM_SPAN("commit.write_group");
@@ -112,48 +127,53 @@ Status CommitManager::CommitGroup(
     for (const auto& [track, bytes] : data_tracks) {
       GS_RETURN_IF_ERROR(disk_->WriteTrack(track, bytes));
     }
-    // Phase 2: the catalog stream, chunked by track capacity.
-    for (std::size_t i = 0; i < needed; ++i) {
-      const std::size_t begin = i * chunk;
-      const std::size_t end =
-          std::min(catalog_bytes.size(), begin + chunk);
-      GS_RETURN_IF_ERROR(disk_->WriteTrack(
-          catalog_tracks[i],
-          std::vector<std::uint8_t>(catalog_bytes.begin() + begin,
-                                    catalog_bytes.begin() + end)));
+    // Phase 2: the changed catalog pages, each onto a fresh track.
+    for (const auto& [track, image] : page_writes) {
+      GS_RETURN_IF_ERROR(disk_->WriteTrack(track, image));
     }
   }
   // Phase 3: the atomicity point — one root-track write.
   TELEM_SPAN("commit.flip_root");
   RootState root;
   root.epoch = next_epoch;
-  root.catalog_len = static_cast<std::uint32_t>(catalog_bytes.size());
-  root.catalog_checksum =
-      Fnv1a(std::span<const std::uint8_t>(catalog_bytes));
-  root.catalog_tracks.assign(catalog_tracks.begin(),
-                             catalog_tracks.begin() +
-                                 static_cast<std::ptrdiff_t>(needed));
+  std::vector<std::uint64_t> checksums;
+  checksums.reserve(pages.size());
+  root.pages.reserve(pages.size());
+  for (const PageRef& page : pages) {
+    root.pages.push_back(page.track);
+    checksums.push_back(page.checksum);
+  }
+  root.pages_hash = HashPageChecksums(checksums);
   GS_RETURN_IF_ERROR(WriteRoot(root));
   ++commits_;
   return Status::OK();
 }
 
-Result<std::vector<std::uint8_t>> CommitManager::ReadCatalogBytes(
+Result<std::vector<PageImage>> CommitManager::ReadPages(
     const RootState& root) const {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(root.catalog_len);
-  for (TrackId t : root.catalog_tracks) {
-    GS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> track, disk_->ReadTrack(t));
-    bytes.insert(bytes.end(), track.begin(), track.end());
+  std::vector<PageImage> pages;
+  pages.reserve(root.pages.size());
+  std::vector<std::uint64_t> checksums;
+  checksums.reserve(root.pages.size());
+  for (TrackId t : root.pages) {
+    GS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> image, disk_->ReadTrack(t));
+    if (image.size() < kPageTrailerBytes) {
+      return Status::Corruption("catalog page shorter than its trailer");
+    }
+    const std::size_t body_len = image.size() - kPageTrailerBytes;
+    ByteReader trailer(std::span<const std::uint8_t>(image).subspan(body_len));
+    GS_ASSIGN_OR_RETURN(std::uint64_t stored, trailer.GetU64());
+    image.resize(body_len);
+    if (Fnv1a(image) != stored) {
+      return Status::Corruption("catalog page checksum mismatch");
+    }
+    checksums.push_back(stored);
+    pages.push_back(PageImage{PageRef{t, stored}, std::move(image)});
   }
-  if (bytes.size() < root.catalog_len) {
-    return Status::Corruption("catalog stream shorter than root records");
+  if (HashPageChecksums(checksums) != root.pages_hash) {
+    return Status::Corruption("catalog pages do not match the root");
   }
-  bytes.resize(root.catalog_len);
-  if (Fnv1a(std::span<const std::uint8_t>(bytes)) != root.catalog_checksum) {
-    return Status::Corruption("catalog checksum mismatch");
-  }
-  return bytes;
+  return pages;
 }
 
 }  // namespace gemstone::storage

@@ -46,29 +46,18 @@ Status StorageEngine::Open() {
   if (candidates.empty()) {
     return Status::Corruption("no valid root block on device");
   }
-  // Try the newest root first; when its catalog stream is unreadable
-  // (torn track, bit rot, read fault), fall back to the older slot — the
-  // reason the device keeps two. The fallback epoch is the pre-crash
-  // committed state, so recovering it is correct, never a hybrid.
+  // Try the newest root first; when a page it names is unreadable (torn
+  // track, bit rot, read fault), fall back to the older slot — the reason
+  // the device keeps two. The fallback epoch is the pre-crash committed
+  // state, so recovering it is correct, never a hybrid. A page both roots
+  // share fails both, and Open fails with it.
   Catalog catalog;
   const RootState* adopted = nullptr;
   Status last_error = Status::OK();
   for (const RootState& root : candidates) {
-    if (root.catalog_tracks.empty()) {
-      catalog = Catalog();
-      adopted = &root;
-      break;
-    }
-    auto bytes = commit_manager_.ReadCatalogBytes(root);
-    if (!bytes.ok()) {
-      recovery_fallbacks_.Increment();
-      telemetry::FlightRecorder::Global().Record(
-          telemetry::FlightEventKind::kRecoveryFallback, 0, root.epoch, 0,
-          bytes.status().message());
-      last_error = bytes.status();
-      continue;
-    }
-    auto parsed = Catalog::Deserialize(bytes.value());
+    auto pages = commit_manager_.ReadPages(root);
+    auto parsed = pages.ok() ? Catalog::Decode(pages.value())
+                             : Result<Catalog>(pages.status());
     if (!parsed.ok()) {
       recovery_fallbacks_.Increment();
       telemetry::FlightRecorder::Global().Record(
@@ -86,16 +75,17 @@ Status StorageEngine::Open() {
   }
   catalog_ = std::move(catalog);
   epoch_ = adopted->epoch;
-  catalog_tracks_ = adopted->catalog_tracks;
 
   std::set<TrackId> used = {CommitManager::kRootSlotA,
                             CommitManager::kRootSlotB};
-  for (TrackId t : catalog_tracks_) used.insert(t);
   track_refs_.clear();
-  for (const auto& [oid, extent] : catalog_.entries()) {
-    for (TrackId t : extent.tracks) {
-      used.insert(t);
-      ++track_refs_[t];
+  for (const CatalogPage& page : catalog_.pages()) {
+    used.insert(page.ref.track);
+    for (const auto& [oid, extent] : page.entries) {
+      for (TrackId t : extent.tracks) {
+        used.insert(t);
+        ++track_refs_[t];
+      }
     }
   }
   free_tracks_.clear();
@@ -161,12 +151,12 @@ Status StorageEngine::CommitObjects(
     }
     GS_ASSIGN_OR_RETURN(boxing, boxer_.Pack(oids, blobs));
   }
-  // 3. Allocate shadow tracks for data + catalog.
+  // 3. Allocate shadow tracks for the data.
   GS_ASSIGN_OR_RETURN(std::vector<TrackId> data_tracks,
                       Allocate(boxing.payloads.size()));
-  // 4. Build the changed-extent list and link the next catalog.
+  // 4. Build the changed-extent list and link the next versions of the
+  // pages it touches.
   Linker::LinkResult linked;
-  std::vector<std::uint8_t> catalog_bytes;
   std::vector<std::pair<Oid, Extent>> changed;
   {
     TELEM_SPAN("commit.link");
@@ -180,49 +170,61 @@ Status StorageEngine::CommitObjects(
       }
       changed.emplace_back(oids[i], std::move(extent));
     }
-    linked = Linker::Link(catalog_, changed);
-    catalog_bytes = linked.next.Serialize();
+    linked = Linker::Link(catalog_, changed, commit_manager_.page_capacity());
   }
-  const std::size_t cat_count =
-      (catalog_bytes.size() + disk_->track_capacity() - 1) /
-      disk_->track_capacity();
-  auto cat_alloc = Allocate(cat_count);
-  if (!cat_alloc.ok()) {
+  std::size_t page_count = 0;
+  for (const PageSplice& splice : linked.splices) {
+    page_count += splice.pages.size();
+  }
+  auto page_alloc = Allocate(page_count);
+  if (!page_alloc.ok()) {
     Release(data_tracks);
-    return cat_alloc.status();
+    return page_alloc.status();
   }
-  const std::vector<TrackId> cat_tracks = std::move(cat_alloc).value();
+  const std::vector<TrackId> page_tracks = std::move(page_alloc).value();
 
-  // 5. Safe group write.
-  std::vector<std::pair<TrackId, std::vector<std::uint8_t>>> group;
-  group.reserve(boxing.payloads.size());
+  // 5. Safe group write: the data, the changed pages, the root flip.
   std::uint64_t bytes_written = 0;
+  TrackWrites group;
+  group.reserve(boxing.payloads.size());
   for (std::size_t i = 0; i < boxing.payloads.size(); ++i) {
     bytes_written += boxing.payloads[i].bytes.size();
     group.emplace_back(data_tracks[i], std::move(boxing.payloads[i].bytes));
   }
-  Status commit_status = commit_manager_.CommitGroup(
-      group, cat_tracks, catalog_bytes, epoch_ + 1);
+  TrackWrites page_writes;
+  page_writes.reserve(page_count);
+  for (PageSplice& splice : linked.splices) {
+    for (CatalogPage& page : splice.pages) {
+      std::vector<std::uint8_t> image = Catalog::EncodePage(page);
+      page.ref.track = page_tracks[page_writes.size()];
+      page.ref.checksum = CommitManager::SealPage(&image);
+      bytes_written += image.size();
+      page_writes.emplace_back(page.ref.track, std::move(image));
+    }
+  }
+  const std::vector<PageRef> pages = catalog_.RefsAfter(linked.splices);
+  bytes_written += CommitManager::RootBytes(pages.size());
+  Status commit_status =
+      commit_manager_.CommitGroup(group, page_writes, pages, epoch_ + 1);
   if (!commit_status.ok()) {
     Release(data_tracks);
-    Release(cat_tracks);
+    Release(page_tracks);
     return commit_status;
   }
 
-  // 6. The group is durable: adopt the new catalog and recycle superseded
+  // 6. The group is durable: adopt the new pages and recycle superseded
   // track versions (object history lives inside the new images). Shared
   // tracks free only when their last referencing extent is superseded.
   for (const auto& [oid, extent] : changed) {
     AddExtentRefs(extent.tracks);
   }
   DropExtentRefs(linked.superseded_tracks);
-  Release(catalog_tracks_);
-  catalog_tracks_ = cat_tracks;
-  catalog_ = std::move(linked.next);
+  Release(linked.superseded_pages);
+  catalog_.Apply(std::move(linked.splices));
   ++epoch_;
   commits_.Increment();
   objects_written_.Increment(objects.size());
-  bytes_written_.Increment(bytes_written + catalog_bytes.size());
+  bytes_written_.Increment(bytes_written);
   free_tracks_gauge_.Set(static_cast<std::int64_t>(free_tracks_.size()));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
   return Status::OK();
@@ -326,10 +328,9 @@ Result<std::vector<GsObject>> StorageEngine::LoadObjects(
 std::vector<Oid> StorageEngine::CatalogOids() const {
   std::vector<Oid> oids;
   oids.reserve(catalog_.size());
-  for (const auto& [raw, extent] : catalog_.entries()) {
-    oids.push_back(Oid(raw));
+  for (const CatalogPage& page : catalog_.pages()) {
+    for (const auto& [raw, extent] : page.entries) oids.push_back(Oid(raw));
   }
-  std::sort(oids.begin(), oids.end());
   return oids;
 }
 

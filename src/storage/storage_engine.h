@@ -30,7 +30,8 @@ struct EngineStats {
 /// Boxer, Linker and Commit Manager over a track-granular device (§6).
 ///
 /// Each commit shadows changed objects into fresh tracks, links them into
-/// a new catalog version, and flips the root atomically. A crash between
+/// new versions of the catalog pages that hold their oids, and flips the
+/// root atomically; unchanged pages stay shared with the previous epoch. A crash between
 /// any two track writes recovers to the previous epoch (verified by the
 /// failure-injection tests). Objects boxed together in one commit land on
 /// adjacent tracks, which is what gives clustered access its locality.
@@ -44,11 +45,11 @@ class StorageEngine {
   /// Initializes an empty store (destroys any previous contents).
   Status Format();
 
-  /// Recovers the newest valid root whose catalog stream reads back
+  /// Recovers the newest valid root whose catalog pages all read back
   /// intact — falling back to the older root slot (and counting
-  /// `engine.recovery_fallbacks`) when the newest one's catalog fails its
-  /// checksum — then rebuilds the free-track map from the catalog's
-  /// extents.
+  /// `engine.recovery_fallbacks`) when a page only the newest root names
+  /// fails its checksum — then rebuilds the free-track map from the
+  /// catalog's pages and extents. A bad page both roots share fails Open.
   Status Open();
 
   bool is_open() const { return open_; }
@@ -111,7 +112,6 @@ class StorageEngine {
   bool open_ = false;
   std::uint64_t epoch_ = 0;
   Catalog catalog_;
-  std::vector<TrackId> catalog_tracks_;
   std::set<TrackId> free_tracks_;
   std::unordered_map<TrackId, std::uint32_t> track_refs_;
 

@@ -22,11 +22,12 @@ std::uint64_t NowNs() {
           .count());
 }
 
-/// Chunks a run's byte stream across its allocated tracks, in order.
-std::vector<std::pair<TrackId, std::vector<std::uint8_t>>> ChunkToTracks(
-    const std::vector<std::uint8_t>& bytes,
-    const std::vector<TrackId>& tracks, std::size_t capacity) {
-  std::vector<std::pair<TrackId, std::vector<std::uint8_t>>> out;
+/// Chunks a byte stream (a run, or a level catalog's page bodies) across
+/// its allocated tracks, in order.
+TrackWrites ChunkToTracks(const std::vector<std::uint8_t>& bytes,
+                          const std::vector<TrackId>& tracks,
+                          std::size_t capacity) {
+  TrackWrites out;
   out.reserve(tracks.size());
   for (std::size_t i = 0; i < tracks.size(); ++i) {
     const std::size_t begin = i * capacity;
@@ -35,6 +36,17 @@ std::vector<std::pair<TrackId, std::vector<std::uint8_t>>> ChunkToTracks(
                                     bytes.begin() + begin, bytes.begin() + end));
   }
   return out;
+}
+
+/// The level catalog stream `root` names: its pages' bodies, in order.
+Result<std::vector<std::uint8_t>> ReadLevelCatalog(const CommitManager& commits,
+                                                   const RootState& root) {
+  GS_ASSIGN_OR_RETURN(std::vector<PageImage> pages, commits.ReadPages(root));
+  std::vector<std::uint8_t> bytes;
+  for (const PageImage& page : pages) {
+    bytes.insert(bytes.end(), page.body.begin(), page.body.end());
+  }
+  return bytes;
 }
 
 /// Sorts and folds exact-duplicate bindings — the shape repeated
@@ -109,7 +121,7 @@ Status TierStore::Format() {
   for (Level& level : levels_) {
     GS_RETURN_IF_ERROR(level.commits->Format());
     level.epoch = 1;  // Format seeds epochs 0 and 1; recovery adopts 1
-    level.catalog_tracks.clear();
+    level.catalog_pages.clear();
     level.runs.clear();
     RecomputeFreeLocked(level);
   }
@@ -137,8 +149,8 @@ Status TierStore::Open() {
       const RootState& root = candidates[c];
       std::vector<RunState> runs;
       std::uint64_t catalog_next_id = 1;
-      if (!root.catalog_tracks.empty()) {
-        auto bytes = level.commits->ReadCatalogBytes(root);
+      if (!root.pages.empty()) {
+        auto bytes = ReadLevelCatalog(*level.commits, root);
         if (!bytes.ok()) {
           last_error = bytes.status();
           recovery_fallbacks_.Increment();
@@ -200,7 +212,7 @@ Status TierStore::Open() {
             "tier level fell back to older root");
       }
       level.epoch = root.epoch;
-      level.catalog_tracks = root.catalog_tracks;
+      level.catalog_pages = root.pages;
       level.runs = std::move(runs);
       next_run_id_ = std::max(next_run_id_, catalog_next_id);
       RecomputeFreeLocked(level);
@@ -216,8 +228,8 @@ Status TierStore::Open() {
     // the fallback if the adopted slot's catalog track rots later —
     // exactly the engine's shadow-retention rule).
     for (const RootState& root : candidates) {
-      if (root.catalog_tracks.empty()) continue;
-      auto bytes = level.commits->ReadCatalogBytes(root);
+      if (root.pages.empty()) continue;
+      auto bytes = ReadLevelCatalog(*level.commits, root);
       if (!bytes.ok()) continue;
       std::uint64_t ignored = 0;
       auto parsed = DecodeLevelCatalog(bytes.value(), &ignored);
@@ -258,7 +270,7 @@ std::vector<TierStore::Fence> TierStore::BuildFences(
 
 void TierStore::RecomputeFreeLocked(Level& level) {
   std::unordered_set<TrackId> used;
-  for (TrackId t : level.catalog_tracks) used.insert(t);
+  for (TrackId t : level.catalog_pages) used.insert(t);
   for (const RunState& run : level.runs) {
     for (TrackId t : run.tracks) used.insert(t);
   }
@@ -348,19 +360,26 @@ Result<std::vector<TierStore::RunState>> TierStore::DecodeLevelCatalog(
 
 Status TierStore::FlipLevelLocked(
     Level& level, std::vector<RunState> next_runs,
-    const std::vector<std::pair<TrackId, std::vector<std::uint8_t>>>&
-        data_tracks) {
+    const TrackWrites& data_tracks) {
+  // The level catalog is small: every flip rewrites all of its pages,
+  // the stream cut at page capacity.
   const std::vector<std::uint8_t> catalog_bytes =
       EncodeLevelCatalogLocked(next_runs);
-  const std::size_t cap = level.disk->track_capacity();
+  const std::size_t cap = level.commits->page_capacity();
   const std::size_t n_cat = (catalog_bytes.size() + cap - 1) / cap;
   auto cat_tracks = AllocateLocked(level, n_cat);
   if (!cat_tracks.ok()) {
     RecomputeFreeLocked(level);
     return cat_tracks.status();
   }
-  const Status st = level.commits->CommitGroup(
-      data_tracks, cat_tracks.value(), catalog_bytes, level.epoch + 1);
+  TrackWrites page_writes =
+      ChunkToTracks(catalog_bytes, cat_tracks.value(), cap);
+  std::vector<PageRef> pages;
+  for (auto& [track, image] : page_writes) {
+    pages.push_back(PageRef{track, CommitManager::SealPage(&image)});
+  }
+  const Status st = level.commits->CommitGroup(data_tracks, page_writes,
+                                               pages, level.epoch + 1);
   if (!st.ok()) {
     // Previous root still rules the device; drop the speculative
     // allocations so in-memory bookkeeping matches it again.
@@ -368,7 +387,7 @@ Status TierStore::FlipLevelLocked(
     return st;
   }
   ++level.epoch;
-  level.catalog_tracks = std::move(cat_tracks).value();
+  level.catalog_pages = std::move(cat_tracks).value();
   level.runs = std::move(next_runs);
   RecomputeFreeLocked(level);
   SyncMirrorsLocked();

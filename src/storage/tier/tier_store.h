@@ -158,7 +158,7 @@ class TierStore {
     std::unique_ptr<SimulatedDisk> disk;
     std::unique_ptr<CommitManager> commits;
     std::uint64_t epoch = 0;
-    std::vector<TrackId> catalog_tracks;
+    std::vector<TrackId> catalog_pages;
     std::set<TrackId> free_tracks;
     std::vector<RunState> runs;
     telemetry::Histogram* read_us = nullptr;  // storage.tier.l<k>.read_us
@@ -168,9 +168,7 @@ class TierStore {
                                         const std::vector<std::size_t>& offs);
 
   Status FlipLevelLocked(Level& level, std::vector<RunState> next_runs,
-                         const std::vector<std::pair<TrackId,
-                             std::vector<std::uint8_t>>>& data_tracks)
-      GS_REQUIRES(mu_);
+                         const TrackWrites& data_tracks) GS_REQUIRES(mu_);
   Result<std::vector<TrackId>> AllocateLocked(Level& level, std::size_t n)
       GS_REQUIRES(mu_);
   /// Rebuilds the free set from the level's adopted runs + catalog — the

@@ -26,50 +26,37 @@ class CrashMatrixTest : public ::testing::Test {
  protected:
   // The workload: four commits that mix creates, updates, and a
   // multi-track object, so every phase of CommitGroup (data tracks,
-  // catalog chunks, root flip) is crossed by some crash index.
+  // catalog pages, root flip) is crossed by some crash index.
   static constexpr int kCommits = 4;
 
-  // Applies commit `step` (0-based) to the engine and to `model`.
-  // Objects carry a monotonically bumped "v" field per touch.
-  static Status ApplyCommit(int step, StorageEngine* engine,
-                            SymbolTable* symbols, Snapshot* model) {
+  // One object a commit writes: its oid, its new "v", and how many
+  // indexed pad slots make it span tracks.
+  struct Touch {
+    std::uint64_t oid;
+    std::int64_t v;
+    std::size_t pad_slots = 0;
+  };
+
+  // Commits `touches` as commit `step` (0-based) to the engine and, if the
+  // commit succeeds, to `model`.
+  static Status CommitTouches(const std::vector<Touch>& touches, int step,
+                              StorageEngine* engine, SymbolTable* symbols,
+                              Snapshot* model) {
     Snapshot next = *model;
     std::vector<GsObject> batch;
-    auto touch = [&](std::uint64_t oid, std::int64_t v,
-                     std::size_t pad_slots) {
-      GsObject object{Oid(oid), Oid(7)};
+    for (const Touch& touch : touches) {
+      GsObject object{Oid(touch.oid), Oid(7)};
       // Re-create the object's full history from the model (the engine
       // stores whole images, so the test mirrors that).
-      next[oid]["v"] = v;
+      next[touch.oid]["v"] = touch.v;
       object.WriteNamed(symbols->Intern("v"),
-                        static_cast<TxnTime>(step + 1), Value::Integer(v));
-      for (std::size_t i = 0; i < pad_slots; ++i) {
+                        static_cast<TxnTime>(step + 1),
+                        Value::Integer(touch.v));
+      for (std::size_t i = 0; i < touch.pad_slots; ++i) {
         object.AppendIndexed(static_cast<TxnTime>(step + 1),
                              Value::String("pad-" + std::to_string(i)));
       }
       batch.push_back(std::move(object));
-    };
-    switch (step) {
-      case 0:  // three creates
-        touch(100, 1, 0);
-        touch(101, 1, 0);
-        touch(102, 1, 0);
-        break;
-      case 1:  // one update, one create
-        touch(100, 2, 0);
-        touch(103, 1, 0);
-        break;
-      case 2:  // updates plus a multi-track object
-        touch(101, 2, 0);
-        touch(104, 1, 200);
-        break;
-      default:  // touch everything
-        touch(100, 3, 0);
-        touch(101, 3, 0);
-        touch(102, 2, 0);
-        touch(103, 2, 0);
-        touch(104, 2, 200);
-        break;
     }
     std::vector<const GsObject*> ptrs;
     ptrs.reserve(batch.size());
@@ -78,6 +65,54 @@ class CrashMatrixTest : public ::testing::Test {
     if (s.ok()) *model = std::move(next);
     return s;
   }
+
+  // Applies commit `step` (0-based) to the engine and to `model`.
+  // Objects carry a monotonically bumped "v" field per touch.
+  static Status ApplyCommit(int step, StorageEngine* engine,
+                            SymbolTable* symbols, Snapshot* model) {
+    std::vector<Touch> touches;
+    switch (step) {
+      case 0:  // three creates
+        touches = {{100, 1}, {101, 1}, {102, 1}};
+        break;
+      case 1:  // one update, one create
+        touches = {{100, 2}, {103, 1}};
+        break;
+      case 2:  // updates plus a multi-track object
+        touches = {{101, 2}, {104, 1, 200}};
+        break;
+      default:  // touch everything
+        touches = {{100, 3}, {101, 3}, {102, 2}, {103, 2}, {104, 2, 200}};
+        break;
+    }
+    return CommitTouches(touches, step, engine, symbols, model);
+  }
+
+  // A multi-page catalog: commit 0 bulk-loads kPagedObjects oids (at
+  // least three 1 KiB-track pages); commit 1 updates kMiddleOid, which
+  // lies on a middle page, and appends kAppended new oids — more than a
+  // 1 KiB page holds, so the last page splits however full it was.
+  static constexpr std::uint64_t kPagedBase = 1000;
+  static constexpr std::uint64_t kPagedObjects = 110;
+  static constexpr std::uint64_t kMiddleOid = kPagedBase + 50;
+  static constexpr std::uint64_t kAppended = 45;
+  static Status ApplyPagedCommit(int step, StorageEngine* engine,
+                                 SymbolTable* symbols, Snapshot* model) {
+    std::vector<Touch> touches;
+    if (step == 0) {
+      for (std::uint64_t i = 0; i < kPagedObjects; ++i) {
+        touches.push_back({kPagedBase + i, 1});
+      }
+    } else {
+      touches.push_back({kMiddleOid, 2});
+      for (std::uint64_t i = 0; i < kAppended; ++i) {
+        touches.push_back({kPagedBase + kPagedObjects + i, 1});
+      }
+    }
+    return CommitTouches(touches, step, engine, symbols, model);
+  }
+
+  using ApplyFn = Status (*)(int, StorageEngine*, SymbolTable*, Snapshot*);
 
   // Asserts the recovered engine's catalog equals `expected` exactly.
   static void ExpectCatalogMatches(StorageEngine* engine,
@@ -102,15 +137,15 @@ class CrashMatrixTest : public ::testing::Test {
   }
 
   // Counts the writes the fault-free workload performs after Format.
-  static std::uint64_t FaultFreeWriteCount() {
+  static std::uint64_t FaultFreeWriteCount(int commits, ApplyFn apply) {
     SimulatedDisk disk(512, 1024);
     StorageEngine engine(&disk);
     EXPECT_TRUE(engine.Format().ok());
     SymbolTable symbols;
     Snapshot model;
     const std::uint64_t before = disk.stats().tracks_written;
-    for (int step = 0; step < kCommits; ++step) {
-      EXPECT_TRUE(ApplyCommit(step, &engine, &symbols, &model).ok());
+    for (int step = 0; step < commits; ++step) {
+      EXPECT_TRUE(apply(step, &engine, &symbols, &model).ok());
     }
     return disk.stats().tracks_written - before;
   }
@@ -119,8 +154,9 @@ class CrashMatrixTest : public ::testing::Test {
 
   // The matrix: for every write index, run the workload until the crash
   // fires, then recover and compare against the model.
-  static void RunMatrix(FaultMode mode) {
-    const std::uint64_t total_writes = FaultFreeWriteCount();
+  static void RunMatrix(FaultMode mode, int commits = kCommits,
+                        ApplyFn apply = &ApplyCommit) {
+    const std::uint64_t total_writes = FaultFreeWriteCount(commits, apply);
     ASSERT_GT(total_writes, 8u);  // the workload is non-trivial
     for (std::uint64_t crash_at = 0; crash_at <= total_writes; ++crash_at) {
       SimulatedDisk disk(512, 1024);
@@ -138,8 +174,8 @@ class CrashMatrixTest : public ::testing::Test {
         disk.InjectTornWriteAfter(crash_at, 10);
       }
       int succeeded = 0;
-      for (int step = 0; step < kCommits; ++step) {
-        Status s = ApplyCommit(step, &engine, &symbols, &model);
+      for (int step = 0; step < commits; ++step) {
+        Status s = apply(step, &engine, &symbols, &model);
         if (!s.ok()) {
           EXPECT_TRUE(s.IsIoError())
               << "crash_at=" << crash_at << ": " << s.ToString();
@@ -175,6 +211,39 @@ TEST_F(CrashMatrixTest, EveryWriteIndexCleanFailure) {
 
 TEST_F(CrashMatrixTest, EveryWriteIndexTornWrite) {
   RunMatrix(FaultMode::kTear);
+}
+
+// The paged workload has the shape it claims: the update lands on a
+// middle page, the appends split the last page, and the pages the commit
+// did not touch stay shared with the previous epoch.
+TEST_F(CrashMatrixTest, PagedWorkloadSplitsTheLastPage) {
+  SimulatedDisk disk(512, 1024);
+  StorageEngine engine(&disk);
+  ASSERT_TRUE(engine.Format().ok());
+  SymbolTable symbols;
+  Snapshot model;
+  ASSERT_TRUE(ApplyPagedCommit(0, &engine, &symbols, &model).ok());
+  const std::vector<CatalogPage> before = engine.catalog().pages();
+  ASSERT_GE(before.size(), 3u);
+  const std::size_t middle = engine.catalog().PageFor(Oid(kMiddleOid));
+  ASSERT_GT(middle, 0u);
+  ASSERT_LT(middle, before.size() - 1);
+
+  ASSERT_TRUE(ApplyPagedCommit(1, &engine, &symbols, &model).ok());
+  const std::vector<CatalogPage>& after = engine.catalog().pages();
+  EXPECT_GT(after.size(), before.size());
+  for (std::size_t p = 0; p < before.size() - 1; ++p) {
+    EXPECT_EQ(after[p].ref.track == before[p].ref.track, p != middle)
+        << "page " << p;
+  }
+}
+
+TEST_F(CrashMatrixTest, PagedCatalogEveryWriteIndexCleanFailure) {
+  RunMatrix(FaultMode::kFail, 2, &ApplyPagedCommit);
+}
+
+TEST_F(CrashMatrixTest, PagedCatalogEveryWriteIndexTornWrite) {
+  RunMatrix(FaultMode::kTear, 2, &ApplyPagedCommit);
 }
 
 // The transaction layer over the same matrix: a storage-failed commit

@@ -21,6 +21,40 @@ class StorageEngineTest : public ::testing::Test {
     return obj;
   }
 
+  // An object whose boxed image fills exactly one track of disk_'s
+  // geometry, so its catalog entry names exactly one track.
+  GsObject MakeTrackSized(std::uint64_t oid) {
+    auto make = [&](std::size_t len) {
+      GsObject obj{Oid(oid), Oid(7)};
+      obj.WriteNamed(symbols_.Intern("pad"), 1,
+                     Value::String(std::string(len, 'p')));
+      return obj;
+    };
+    const std::size_t base = SerializeObject(make(0), symbols_).size();
+    // A track: u32 fragment count, one 16-byte fragment header, the image.
+    return make(disk_.track_capacity() - 20 - base);
+  }
+
+  // Single-track entries one catalog page holds on disk_'s geometry.
+  std::size_t PerPage() {
+    Extent one_track;
+    one_track.tracks = {0};
+    return (CommitManager(&disk_).page_capacity() -
+            Catalog::kPageHeaderBytes) /
+           Catalog::EntryBytes(one_track);
+  }
+
+  // Commits `n` track-sized objects, oids 1000.., as one group.
+  Status BulkCommit(StorageEngine* engine, std::size_t n) {
+    std::vector<GsObject> objects;
+    for (std::size_t i = 0; i < n; ++i) {
+      objects.push_back(MakeTrackSized(1000 + i));
+    }
+    std::vector<const GsObject*> ptrs;
+    for (const GsObject& o : objects) ptrs.push_back(&o);
+    return engine->CommitObjects(ptrs, symbols_);
+  }
+
   SymbolTable symbols_;
   SimulatedDisk disk_;
   StorageEngine engine_;
@@ -243,7 +277,7 @@ TEST_F(StorageEngineTest, FormatRecoversAtEpochOne) {
   auto root = manager.RecoverRoot();
   ASSERT_TRUE(root.ok()) << root.status().ToString();
   EXPECT_EQ(root->epoch, 1u);
-  EXPECT_TRUE(root->catalog_tracks.empty());
+  EXPECT_TRUE(root->pages.empty());
   EXPECT_EQ(engine_.epoch(), 1u);
 
   GsObject emp = MakeEmployee(100, "Ellen", 24650, 1);
@@ -252,14 +286,14 @@ TEST_F(StorageEngineTest, FormatRecoversAtEpochOne) {
   EXPECT_EQ(manager.RecoverRoot()->epoch, 2u);
 }
 
-// A doomed commit must perform zero I/O: the catalog-fit check runs
-// before any track is written.
+// A doomed commit must perform zero I/O: the page-fit check runs before
+// any track is written.
 TEST_F(StorageEngineTest, OversizedCatalogCommitWritesNothing) {
   CommitManager manager(&disk_);
   const std::uint64_t written_before = disk_.stats().tracks_written;
-  std::vector<std::uint8_t> catalog(disk_.track_capacity() * 2, 7);
-  Status s = manager.CommitGroup({{5, {1, 2, 3}}}, /*catalog_tracks=*/{6},
-                                 catalog, /*next_epoch=*/2);
+  std::vector<std::uint8_t> page(disk_.track_capacity() * 2, 7);
+  Status s = manager.CommitGroup({{5, {1, 2, 3}}}, {{6, page}},
+                                 {PageRef{6, 0}}, /*next_epoch=*/2);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(disk_.stats().tracks_written, written_before);
   EXPECT_TRUE(disk_.ReadTrack(5).ValueOrDie().empty());
@@ -275,12 +309,12 @@ TEST_F(StorageEngineTest, OpenFallsBackWhenNewestCatalogCorrupt) {
   GsObject extra = MakeEmployee(101, "Robert", 24000, 5);
   ASSERT_TRUE(engine_.CommitObjects({&v2, &extra}, symbols_).ok());  // 3
 
-  // Bit rot inside epoch 3's catalog stream.
+  // Bit rot inside a catalog page epoch 3 wrote.
   CommitManager manager(&disk_);
   auto newest = manager.RecoverRoot().ValueOrDie();
   ASSERT_EQ(newest.epoch, 3u);
-  ASSERT_FALSE(newest.catalog_tracks.empty());
-  ASSERT_TRUE(disk_.CorruptTrack(newest.catalog_tracks[0], 0, 0xFF).ok());
+  ASSERT_FALSE(newest.pages.empty());
+  ASSERT_TRUE(disk_.CorruptTrack(newest.pages[0], 0, 0xFF).ok());
 
   StorageEngine recovered(&disk_);
   ASSERT_TRUE(recovered.Open().ok());
@@ -303,8 +337,8 @@ TEST_F(StorageEngineTest, OpenFallsBackOnCatalogReadFault) {
 
   CommitManager manager(&disk_);
   auto newest = manager.RecoverRoot().ValueOrDie();
-  ASSERT_FALSE(newest.catalog_tracks.empty());
-  disk_.InjectReadFault(newest.catalog_tracks[0]);
+  ASSERT_FALSE(newest.pages.empty());
+  disk_.InjectReadFault(newest.pages[0]);
 
   StorageEngine recovered(&disk_);
   ASSERT_TRUE(recovered.Open().ok());
@@ -360,6 +394,137 @@ TEST_F(StorageEngineTest, ReadFaultSurfacesAsIoError) {
       engine_.LoadObjects({Oid(100)}, &symbols_).status().IsIoError());
   disk_.ClearFault();
   EXPECT_TRUE(engine_.LoadObject(Oid(100), &symbols_).ok());
+}
+
+// A page both roots share condemns both: Open fails with Corruption and
+// adopts no partial catalog, as for a corrupt data track.
+TEST_F(StorageEngineTest, OpenFailsOnCorruptSharedCatalogPage) {
+  const std::size_t n = 2 * PerPage();
+  ASSERT_TRUE(BulkCommit(&engine_, n).ok());  // epoch 2: two full pages
+  GsObject last = MakeTrackSized(1000 + n - 1);
+  ASSERT_TRUE(engine_.CommitObjects({&last}, symbols_).ok());  // epoch 3
+
+  CommitManager manager(&disk_);
+  const std::vector<RootState> roots = manager.RecoverRootCandidates();
+  ASSERT_EQ(roots.size(), 2u);
+  ASSERT_EQ(roots[0].pages.size(), 2u);
+  ASSERT_EQ(roots[0].pages[0], roots[1].pages[0]);  // shared
+  ASSERT_NE(roots[0].pages[1], roots[1].pages[1]);  // epoch 3 wrote it
+  ASSERT_TRUE(disk_.CorruptTrack(roots[0].pages[0], 0, 0xFF).ok());
+
+  StorageEngine recovered(&disk_);
+  EXPECT_EQ(recovered.Open().code(), StatusCode::kCorruption);
+  EXPECT_FALSE(recovered.is_open());
+  EXPECT_EQ(recovered.catalog().size(), 0u);
+  EXPECT_FALSE(recovered.Contains(Oid(1000)));
+}
+
+// The paged catalog round-trips through Open at the page boundaries: no
+// entry, one entry, one full page, one full page plus one entry.
+TEST_F(StorageEngineTest, PagedCatalogRoundTripsThroughOpen) {
+  const std::size_t per_page = PerPage();
+  ASSERT_GT(per_page, 1u);
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, per_page,
+                        per_page + 1}) {
+    SimulatedDisk disk(512, disk_.track_capacity());
+    StorageEngine engine(&disk);
+    ASSERT_TRUE(engine.Format().ok());
+    ASSERT_TRUE(BulkCommit(&engine, n).ok()) << n;
+    const std::size_t pages = (n + per_page - 1) / per_page;
+    ASSERT_EQ(engine.catalog().pages().size(), pages) << n;
+
+    StorageEngine recovered(&disk);
+    ASSERT_TRUE(recovered.Open().ok()) << n;
+    EXPECT_EQ(recovered.epoch(), 2u) << n;
+    EXPECT_EQ(recovered.catalog().size(), n);
+    EXPECT_EQ(recovered.catalog().pages().size(), pages) << n;
+    EXPECT_EQ(recovered.CatalogOids(), engine.CatalogOids()) << n;
+    SymbolTable fresh;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(recovered.catalog().Find(Oid(1000 + i))->tracks.size(), 1u);
+      EXPECT_TRUE(recovered.LoadObject(Oid(1000 + i), &fresh).ok())
+          << n << " oid " << 1000 + i;
+    }
+  }
+}
+
+// A bulk commit packs pages full: N single-track entries take
+// ceil(N / per-page) pages, every page but the last holding per-page.
+TEST_F(StorageEngineTest, BulkCommitPacksPagesFull) {
+  const std::size_t per_page = PerPage();
+  const std::size_t n = 3 * per_page + 5;
+  ASSERT_TRUE(BulkCommit(&engine_, n).ok());
+  const std::vector<CatalogPage>& pages = engine_.catalog().pages();
+  ASSERT_EQ(pages.size(), (n + per_page - 1) / per_page);
+  for (std::size_t p = 0; p + 1 < pages.size(); ++p) {
+    EXPECT_EQ(pages[p].entries.size(), per_page) << "page " << p;
+  }
+  EXPECT_EQ(pages.back().entries.size(), 5u);
+}
+
+// The point of paging: one object updated in a 10,000-object catalog
+// writes its data track, the one page holding its oid, and the root —
+// and engine.bytes_written counts exactly those bytes.
+TEST_F(StorageEngineTest, SingleUpdateIntoLargeCatalogWritesThreeTracks) {
+  SimulatedDisk disk(4096, 8192);
+  StorageEngine engine(&disk);
+  ASSERT_TRUE(engine.Format().ok());
+  std::vector<GsObject> objects;
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    objects.push_back(MakeEmployee(1000 + i, "e", 100, 1));
+  }
+  std::vector<const GsObject*> ptrs;
+  for (const GsObject& o : objects) ptrs.push_back(&o);
+  ASSERT_TRUE(engine.CommitObjects(ptrs, symbols_).ok());
+  const std::vector<CatalogPage> before = engine.catalog().pages();
+  ASSERT_GE(before.size(), 3u);
+
+  const Oid oid(1000 + 5000);
+  GsObject updated = objects[5000];
+  updated.WriteNamed(symbols_.Intern("salary"), 2, Value::Integer(200));
+  const std::uint64_t tracks_before = disk.stats().tracks_written;
+  const std::uint64_t bytes_before = engine.stats().bytes_written;
+  ASSERT_TRUE(engine.CommitObjects({&updated}, symbols_).ok());
+  EXPECT_EQ(disk.stats().tracks_written - tracks_before, 3u);
+
+  const std::vector<CatalogPage>& after = engine.catalog().pages();
+  ASSERT_EQ(after.size(), before.size());
+  const std::size_t dirty = engine.catalog().PageFor(oid);
+  for (std::size_t p = 0; p < after.size(); ++p) {
+    EXPECT_EQ(after[p].ref.track != before[p].ref.track, p == dirty) << p;
+  }
+  const TrackId root_slot = engine.epoch() % 2 == 0 ? CommitManager::kRootSlotA
+                                                    : CommitManager::kRootSlotB;
+  const std::size_t root_bytes = disk.ReadTrack(root_slot).ValueOrDie().size();
+  EXPECT_EQ(root_bytes, CommitManager::RootBytes(after.size()));
+  const Extent* extent = engine.catalog().Find(oid);
+  ASSERT_EQ(extent->tracks.size(), 1u);
+  EXPECT_EQ(engine.stats().bytes_written - bytes_before,
+            disk.ReadTrack(extent->tracks[0]).ValueOrDie().size() +
+                disk.ReadTrack(after[dirty].ref.track).ValueOrDie().size() +
+                root_bytes);
+}
+
+// The root addresses every page an 8 KiB root holds four-byte ids for
+// (2,040); one page more fails before any track is written.
+TEST_F(StorageEngineTest, PageListOverTheRootWritesNothing) {
+  SimulatedDisk disk(64, 8192);
+  CommitManager manager(&disk);
+  ASSERT_TRUE(manager.Format().ok());
+  std::vector<PageRef> pages(
+      (disk.track_capacity() - CommitManager::RootBytes(0)) / sizeof(TrackId),
+      PageRef{5, 0});
+  ASSERT_GE(pages.size(), 2040u);
+  ASSERT_TRUE(manager.CommitGroup({}, {}, pages, /*next_epoch=*/2).ok());
+
+  pages.push_back(PageRef{5, 0});
+  const std::uint64_t written_before = disk.stats().tracks_written;
+  Status s = manager.CommitGroup({{6, {1, 2, 3}}}, {{7, {4}}}, pages,
+                                 /*next_epoch=*/3);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(disk.stats().tracks_written, written_before);
+  EXPECT_TRUE(disk.ReadTrack(6).ValueOrDie().empty());
+  EXPECT_EQ(manager.RecoverRoot()->epoch, 2u);
 }
 
 }  // namespace

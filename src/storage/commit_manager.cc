@@ -144,9 +144,7 @@ Status CommitManager::CommitGroup(const TrackWrites& data_tracks,
     checksums.push_back(page.checksum);
   }
   root.pages_hash = HashPageChecksums(checksums);
-  GS_RETURN_IF_ERROR(WriteRoot(root));
-  ++commits_;
-  return Status::OK();
+  return WriteRoot(root);
 }
 
 Result<std::vector<PageImage>> CommitManager::ReadPages(

@@ -98,13 +98,10 @@ class CommitManager {
   /// to the root's.
   Result<std::vector<PageImage>> ReadPages(const RootState& root) const;
 
-  std::uint64_t commits() const { return commits_; }
-
  private:
   Status WriteRoot(const RootState& root);
 
   SimulatedDisk* disk_;
-  std::uint64_t commits_ = 0;
 };
 
 }  // namespace gemstone::storage

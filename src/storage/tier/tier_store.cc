@@ -474,14 +474,6 @@ Status TierStore::MaybeCompact() {
   return Status::OK();
 }
 
-Status TierStore::CompactLevel(std::size_t level) {
-  MutexLock lock(mu_);
-  if (level >= levels_.size()) {
-    return Status::OutOfRange("no tier level " + std::to_string(level));
-  }
-  return CompactLevelLocked(level, /*force=*/true);
-}
-
 Status TierStore::CompactLevelLocked(std::size_t level_index, bool force) {
   Level& src = levels_[level_index];
   std::size_t platter_runs = 0;

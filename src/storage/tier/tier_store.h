@@ -109,9 +109,6 @@ class TierStore {
   /// budget merges into the level below (the deepest into the archive).
   Status MaybeCompact();
 
-  /// Force-merges `level`'s runs downward regardless of budget.
-  Status CompactLevel(std::size_t level);
-
   /// The binding of (`oid`, element) visible at `at`, searched across
   /// every level and the archive; nullopt when no cold run binds it.
   Result<std::optional<Association>> ResolveNamed(Oid oid,

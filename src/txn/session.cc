@@ -150,12 +150,6 @@ Result<Value> Session::ReadIndexed(Oid oid, std::size_t index) {
   return manager_->ReadIndexed(txn_.get(), oid, index, EffectiveTime());
 }
 
-Result<Value> Session::ReadIndexedAt(Oid oid, std::size_t index, TxnTime at) {
-  OwnerGuard guard(this);
-  GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->ReadIndexed(txn_.get(), oid, index, at);
-}
-
 Status Session::WriteIndexed(Oid oid, std::size_t index, Value value) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireWritable());

@@ -105,7 +105,6 @@ class Session {
   Result<Value> ReadNamedAt(Oid oid, SymbolId name, TxnTime at);
   Status WriteNamed(Oid oid, SymbolId name, Value value);
   Result<Value> ReadIndexed(Oid oid, std::size_t index);
-  Result<Value> ReadIndexedAt(Oid oid, std::size_t index, TxnTime at);
   Status WriteIndexed(Oid oid, std::size_t index, Value value);
   Result<std::size_t> AppendIndexed(Oid oid, Value value);
   Result<std::size_t> IndexedSize(Oid oid);

@@ -386,47 +386,88 @@ Result<const GsObject*> TransactionManager::ViewLocked(Transaction* txn,
   return object;
 }
 
+Result<const GsObject*> TransactionManager::ReadableLocked(
+    const ReadCall& call, Oid oid) {
+  if (!call.txn->active()) {
+    return Status::TransactionState("read outside an active transaction");
+  }
+  GS_RETURN_IF_ERROR(CheckReadAccess(call.txn, oid));
+  GS_ASSIGN_OR_RETURN(const GsObject* object,
+                      ViewLocked(call.txn, oid, call.at));
+  if (call.at == kTimeNow) {
+    call.txn->read_set_.insert(oid.raw);
+    NoteReadRecorded(*call.txn);
+  } else {
+    NoteHistoricalRead(oid);
+  }
+  return object;
+}
+
+Result<const Value*> TransactionManager::ElementAtLocked(
+    ReadCall* call, const GsObject& object, ElementKey key,
+    const AssociationTable* resident) {
+  if (tiers_ != nullptr && call->at != kTimeNow &&
+      call->at < object.history_floor()) {
+    return TierElementLocked(call, object, key);
+  }
+  return resident ? resident->ValueAt(call->at) : nullptr;
+}
+
+Result<const Value*> TransactionManager::TierElementLocked(
+    ReadCall* call, const GsObject& object, ElementKey key) {
+  if (!call->tier_counted) {
+    call->tier_counted = true;
+    tier_routed_reads_.Increment();
+  }
+  const SymbolId* name = std::get_if<SymbolId>(&key);
+  GS_ASSIGN_OR_RETURN(
+      std::optional<Association> binding,
+      name != nullptr
+          ? tiers_->ResolveNamed(object.oid(), memory_->symbols().Name(*name),
+                                 call->at)
+          : tiers_->ResolveIndexed(object.oid(), std::get<std::size_t>(key),
+                                   call->at));
+  if (!binding.has_value()) return nullptr;
+  call->tier_value = std::move(binding->value);
+  return &call->tier_value;
+}
+
+Result<std::vector<std::pair<SymbolId, Value>>>
+TransactionManager::NamedAtLocked(ReadCall* call, const GsObject& object,
+                                  bool skip_unbound) {
+  // Element existence is resident (names are never truncated); only the
+  // values may come from the tier.
+  std::vector<std::pair<SymbolId, Value>> out;
+  for (const NamedElement& element : object.named_elements()) {
+    GS_ASSIGN_OR_RETURN(
+        const Value* value,
+        ElementAtLocked(call, object, element.name, &element.table));
+    if (value == nullptr) continue;
+    if (skip_unbound && value->IsNil()) continue;
+    out.emplace_back(element.name, *value);
+  }
+  return out;
+}
+
 Result<GsObject*> TransactionManager::WorkingCopyLocked(Transaction* txn,
                                                         Oid oid) {
   auto it = txn->working_.find(oid.raw);
-  if (it != txn->working_.end()) return &it->second;
-  const GsObject* permanent = memory_->Find(oid);
-  if (permanent == nullptr) {
-    if (memory_->IsArchived(oid)) {
-      return Status::Unavailable("object migrated to archival media: " +
-                                 oid.ToString());
-    }
-    return Status::NotFound("no such object: " + oid.ToString());
+  if (it == txn->working_.end()) {
+    GS_ASSIGN_OR_RETURN(const GsObject* permanent,
+                        ViewLocked(txn, oid, kTimeNow));
+    it = txn->working_.emplace(oid.raw, *permanent).first;
   }
-  auto [inserted, ok] = txn->working_.emplace(oid.raw, *permanent);
-  return &inserted->second;
+  return &it->second;
 }
 
 Result<Value> TransactionManager::ReadNamed(Transaction* txn, Oid oid,
                                             SymbolId name, TxnTime at) {
   ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  if (at == kTimeNow) {
-    txn->read_set_.insert(oid.raw);
-    NoteReadRecorded(*txn);
-  } else {
-    NoteHistoricalRead(oid);
-  }
-  if (RoutesToTierLocked(*object, at)) {
-    // Below the floor the resident table holds only the creation marker
-    // and carry-forward; the cold runs hold every binding <= the floor,
-    // so the level resolver's answer is authoritative here.
-    tier_routed_reads_.Increment();
-    GS_ASSIGN_OR_RETURN(
-        std::optional<Association> binding,
-        tiers_->ResolveNamed(oid, memory_->symbols().Name(name), at));
-    return binding.has_value() ? std::move(binding->value) : Value::Nil();
-  }
-  const Value* value = object->ReadNamed(name, at);
+  ReadCall call{txn, at};
+  GS_ASSIGN_OR_RETURN(const GsObject* object, ReadableLocked(call, oid));
+  GS_ASSIGN_OR_RETURN(
+      const Value* value,
+      ElementAtLocked(&call, *object, name, object->NamedHistory(name)));
   return value ? *value : Value::Nil();
 }
 
@@ -446,31 +487,18 @@ Status TransactionManager::WriteNamed(Transaction* txn, Oid oid, SymbolId name,
 Result<Value> TransactionManager::ReadIndexed(Transaction* txn, Oid oid,
                                               std::size_t index, TxnTime at) {
   ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  if (at == kTimeNow) {
-    txn->read_set_.insert(oid.raw);
-    NoteReadRecorded(*txn);
-  } else {
-    NoteHistoricalRead(oid);
-  }
+  ReadCall call{txn, at};
+  GS_ASSIGN_OR_RETURN(const GsObject* object, ReadableLocked(call, oid));
   // The bounds check needs no tier trip: slot creation markers survive
   // truncation, so IndexedSizeAt stays exact at every time.
-  if (index >= object->IndexedSizeAt(at)) {
+  const std::size_t size = object->IndexedSizeAt(at);
+  if (index >= size) {
     return Status::OutOfRange("index " + std::to_string(index) +
-                              " beyond size " +
-                              std::to_string(object->IndexedSizeAt(at)));
+                              " beyond size " + std::to_string(size));
   }
-  if (RoutesToTierLocked(*object, at)) {
-    tier_routed_reads_.Increment();
-    GS_ASSIGN_OR_RETURN(std::optional<Association> binding,
-                        tiers_->ResolveIndexed(oid, index, at));
-    return binding.has_value() ? std::move(binding->value) : Value::Nil();
-  }
-  const Value* value = object->ReadIndexed(index, at);
+  GS_ASSIGN_OR_RETURN(
+      const Value* value,
+      ElementAtLocked(&call, *object, index, object->IndexedHistory(index)));
   return value ? *value : Value::Nil();
 }
 
@@ -506,17 +534,8 @@ Result<std::size_t> TransactionManager::AppendIndexed(Transaction* txn,
 Result<std::size_t> TransactionManager::IndexedSize(Transaction* txn, Oid oid,
                                                     TxnTime at) {
   ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  if (at == kTimeNow) {
-    txn->read_set_.insert(oid.raw);
-    NoteReadRecorded(*txn);
-  } else {
-    NoteHistoricalRead(oid);
-  }
+  GS_ASSIGN_OR_RETURN(const GsObject* object,
+                      ReadableLocked(ReadCall{txn, at}, oid));
   return object->IndexedSizeAt(at);
 }
 
@@ -532,40 +551,9 @@ Result<Oid> TransactionManager::ClassOfObject(Transaction* txn, Oid oid) {
 Result<std::vector<std::pair<SymbolId, Value>>> TransactionManager::ListNamed(
     Transaction* txn, Oid oid, TxnTime at, bool skip_unbound) {
   ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  if (at == kTimeNow) {
-    txn->read_set_.insert(oid.raw);
-    NoteReadRecorded(*txn);
-  } else {
-    NoteHistoricalRead(oid);
-  }
-  std::vector<std::pair<SymbolId, Value>> out;
-  if (RoutesToTierLocked(*object, at)) {
-    // Element existence is resident (names are never truncated); each
-    // element's sub-floor value comes from the level resolver.
-    tier_routed_reads_.Increment();
-    for (const NamedElement& element : object->named_elements()) {
-      GS_ASSIGN_OR_RETURN(
-          std::optional<Association> binding,
-          tiers_->ResolveNamed(oid, memory_->symbols().Name(element.name),
-                               at));
-      if (!binding.has_value()) continue;
-      if (skip_unbound && binding->value.IsNil()) continue;
-      out.emplace_back(element.name, std::move(binding->value));
-    }
-    return out;
-  }
-  for (const NamedElement& element : object->named_elements()) {
-    const Value* value = element.table.ValueAt(at);
-    if (value == nullptr) continue;
-    if (skip_unbound && value->IsNil()) continue;
-    out.emplace_back(element.name, *value);
-  }
-  return out;
+  ReadCall call{txn, at};
+  GS_ASSIGN_OR_RETURN(const GsObject* object, ReadableLocked(call, oid));
+  return NamedAtLocked(&call, *object, skip_unbound);
 }
 
 Result<std::vector<Association>> TransactionManager::History(Transaction* txn,
@@ -611,137 +599,80 @@ Result<bool> TransactionManager::DeepEquals(Transaction* txn, const Value& a,
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
+  ReadCall call{txn, at};
   std::unordered_map<std::uint64_t, std::uint64_t> assumed;
-  return DeepEqualsLocked(txn, a, b, at, &assumed);
+  return DeepEqualsLocked(&call, a, b, &assumed);
 }
 
-bool TransactionManager::DeepEqualsLocked(
-    Transaction* txn, const Value& a, const Value& b, TxnTime at,
-    std::unordered_map<std::uint64_t, std::uint64_t>* assumed) const {
+Result<bool> TransactionManager::DeepEqualsLocked(
+    ReadCall* call, const Value& a, const Value& b,
+    std::unordered_map<std::uint64_t, std::uint64_t>* assumed) {
   if (!a.IsRef() || !b.IsRef()) return a == b;
   if (a.ref() == b.ref()) return true;
+  // Cycle handling: a pair already under comparison higher up is assumed
+  // equal (coinductive structural equivalence).
   auto it = assumed->find(a.ref().raw);
   if (it != assumed->end() && it->second == b.ref().raw) return true;
 
-  // The transaction's own view: workspace copies shadow permanent state.
-  auto view = [&](Oid oid) -> const GsObject* {
-    if (at == kTimeNow) {
-      auto w = txn->working_.find(oid.raw);
-      if (w != txn->working_.end()) return &w->second;
-    }
-    return memory_->Find(oid);
-  };
-  const GsObject* oa = view(a.ref());
-  const GsObject* ob = view(b.ref());
-  if (oa == nullptr || ob == nullptr) return false;
+  GS_ASSIGN_OR_RETURN(const GsObject* oa, ReadableLocked(*call, a.ref()));
+  GS_ASSIGN_OR_RETURN(const GsObject* ob, ReadableLocked(*call, b.ref()));
   if (oa->class_oid() != ob->class_oid()) return false;
+  // Bound (non-nil) named elements must correspond: by name, or — for a
+  // set, whose member names are generated aliases — as unordered members.
+  GS_ASSIGN_OR_RETURN(auto named_a, NamedAtLocked(call, *oa, true));
+  GS_ASSIGN_OR_RETURN(auto named_b, NamedAtLocked(call, *ob, true));
+  const std::size_t na = oa->IndexedSizeAt(call->at);
+  if (named_a.size() != named_b.size() || na != ob->IndexedSizeAt(call->at)) {
+    return false;
+  }
 
   (*assumed)[a.ref().raw] = b.ref().raw;
-  bool equal = true;
-
-  // Element values resolve through the tier store below an object's
-  // history floor (Resolved*Locked); at other times they read the
-  // resident tables exactly as before.
-  const GsClass* cls = memory_->classes().Get(oa->class_oid());
-  const bool is_set = cls != nullptr && cls->format() == ObjectFormat::kSet;
-  if (is_set) {
-    if (CountBoundNamedResolvedLocked(*oa, at) !=
-        CountBoundNamedResolvedLocked(*ob, at)) {
-      equal = false;
-    } else {
-      for (const NamedElement& ea : oa->named_elements()) {
-        const std::optional<Value> va = ResolvedNamedLocked(*oa, ea.name, at);
-        if (!va.has_value() || va->IsNil()) continue;
+  auto compare = [&]() -> Result<bool> {
+    const GsClass* cls = memory_->classes().Get(oa->class_oid());
+    if (cls != nullptr && cls->format() == ObjectFormat::kSet) {
+      for (const auto& member_a : named_a) {
         bool found = false;
-        for (const NamedElement& eb : ob->named_elements()) {
-          const std::optional<Value> vb =
-              ResolvedNamedLocked(*ob, eb.name, at);
-          if (!vb.has_value() || vb->IsNil()) continue;
-          if (DeepEqualsLocked(txn, *va, *vb, at, assumed)) {
-            found = true;
-            break;
-          }
+        for (const auto& member_b : named_b) {
+          GS_ASSIGN_OR_RETURN(found, DeepEqualsLocked(call, member_a.second,
+                                                      member_b.second,
+                                                      assumed));
+          if (found) break;
         }
-        if (!found) {
-          equal = false;
-          break;
-        }
+        if (!found) return false;
       }
-    }
-  } else {
-    auto bound_matches = [&](const GsObject& x, const GsObject& y) {
-      for (const NamedElement& ex : x.named_elements()) {
-        const std::optional<Value> vx = ResolvedNamedLocked(x, ex.name, at);
-        if (!vx.has_value() || vx->IsNil()) continue;
-        std::optional<Value> vy = ResolvedNamedLocked(y, ex.name, at);
-        if (!vy.has_value()) vy = Value::Nil();
-        if (!DeepEqualsLocked(txn, *vx, *vy, at, assumed)) return false;
-      }
-      return true;
-    };
-    equal = bound_matches(*oa, *ob) && bound_matches(*ob, *oa);
-  }
-
-  if (equal) {
-    const std::size_t na = oa->IndexedSizeAt(at);
-    const std::size_t nb = ob->IndexedSizeAt(at);
-    if (na != nb) {
-      equal = false;
     } else {
-      for (std::size_t i = 0; i < na && equal; ++i) {
-        std::optional<Value> va = ResolvedIndexedLocked(*oa, i, at);
-        std::optional<Value> vb = ResolvedIndexedLocked(*ob, i, at);
-        if (!va.has_value()) va = Value::Nil();
-        if (!vb.has_value()) vb = Value::Nil();
-        equal = DeepEqualsLocked(txn, *va, *vb, at, assumed);
+      auto by_name = [](const auto& x, const auto& y) {
+        return x.first < y.first;
+      };
+      std::sort(named_a.begin(), named_a.end(), by_name);
+      std::sort(named_b.begin(), named_b.end(), by_name);
+      for (std::size_t i = 0; i < named_a.size(); ++i) {
+        if (named_a[i].first != named_b[i].first) return false;
+        GS_ASSIGN_OR_RETURN(
+            bool equal,
+            DeepEqualsLocked(call, named_a[i].second, named_b[i].second,
+                             assumed));
+        if (!equal) return false;
       }
     }
-  }
+    // Indexed elements compare positionally over the slots alive at `at`.
+    for (std::size_t i = 0; i < na; ++i) {
+      GS_ASSIGN_OR_RETURN(const Value* pa,
+                          ElementAtLocked(call, *oa, i, oa->IndexedHistory(i)));
+      // Copied: resolving `pb` may reuse the call's tier slot.
+      const Value va = pa ? *pa : Value::Nil();
+      GS_ASSIGN_OR_RETURN(const Value* pb,
+                          ElementAtLocked(call, *ob, i, ob->IndexedHistory(i)));
+      const Value vb = pb ? *pb : Value::Nil();
+      GS_ASSIGN_OR_RETURN(bool equal,
+                          DeepEqualsLocked(call, va, vb, assumed));
+      if (!equal) return false;
+    }
+    return true;
+  };
+  Result<bool> equal = compare();
   assumed->erase(a.ref().raw);
   return equal;
-}
-
-std::optional<Value> TransactionManager::ResolvedNamedLocked(
-    const GsObject& object, SymbolId name, TxnTime at) const {
-  if (tiers_ != nullptr && at != kTimeNow && at < object.history_floor()) {
-    auto resolved =
-        tiers_->ResolveNamed(object.oid(), memory_->symbols().Name(name), at);
-    if (!resolved.ok()) return std::nullopt;  // degrade: treat as unbound
-    std::optional<Association> binding = std::move(resolved).value();
-    if (!binding.has_value()) return std::nullopt;
-    return std::move(binding->value);
-  }
-  const Value* value = object.ReadNamed(name, at);
-  if (value == nullptr) return std::nullopt;
-  return *value;
-}
-
-std::optional<Value> TransactionManager::ResolvedIndexedLocked(
-    const GsObject& object, std::size_t index, TxnTime at) const {
-  if (tiers_ != nullptr && at != kTimeNow && at < object.history_floor()) {
-    auto resolved = tiers_->ResolveIndexed(object.oid(), index, at);
-    if (!resolved.ok()) return std::nullopt;
-    std::optional<Association> binding = std::move(resolved).value();
-    if (!binding.has_value()) return std::nullopt;
-    return std::move(binding->value);
-  }
-  const Value* value = object.ReadIndexed(index, at);
-  if (value == nullptr) return std::nullopt;
-  return *value;
-}
-
-std::size_t TransactionManager::CountBoundNamedResolvedLocked(
-    const GsObject& object, TxnTime at) const {
-  if (tiers_ == nullptr || at == kTimeNow || at >= object.history_floor()) {
-    return object.CountBoundNamedAt(at);
-  }
-  std::size_t count = 0;
-  for (const NamedElement& element : object.named_elements()) {
-    const std::optional<Value> value =
-        ResolvedNamedLocked(object, element.name, at);
-    if (value.has_value() && !value->IsNil()) ++count;
-  }
-  return count;
 }
 
 std::vector<storage::tier::HistorySource::Candidate>

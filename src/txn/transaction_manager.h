@@ -7,6 +7,7 @@
 #include <optional>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/annotations.h"
@@ -157,8 +158,9 @@ class TransactionManager : public storage::tier::HistorySource {
 
   /// Reads `oid`'s element `name` at `at` (kTimeNow = the transaction's
   /// own view: workspace first, then the committed current state). Reads
-  /// of past states are not recorded in the read set — history is
-  /// immutable and cannot conflict.
+  /// at now join the read set that Commit validates; reads of past states
+  /// are not recorded — history is immutable and cannot conflict. Every
+  /// read below follows the same rule (ReadableLocked).
   Result<Value> ReadNamed(Transaction* txn, Oid oid, SymbolId name,
                           TxnTime at = kTimeNow);
 
@@ -185,49 +187,79 @@ class TransactionManager : public storage::tier::HistorySource {
   Result<std::vector<Association>> History(Transaction* txn, Oid oid,
                                            SymbolId name);
 
-  /// Structural equivalence of two values at `at` (committed state).
+  /// Structural equivalence of two values at `at` (§4.2). Every object
+  /// the comparison visits is read exactly as ReadNamed reads it: access
+  /// checked, recorded at now, tier-resolved below its history floor.
   Result<bool> DeepEquals(Transaction* txn, const Value& a, const Value& b,
                           TxnTime at = kTimeNow);
 
  private:
-  /// The transaction's readable view of `oid` (workspace copy if present,
-  /// else permanent). Caller must hold store_mu_ (at least shared).
+  /// One data-interface read call: the transaction, the time it reads
+  /// at, and whether the tier store has answered any element of it yet —
+  /// `txn.tier_routed_reads` counts each such call once. `tier_value`
+  /// holds the latest tier answer; ElementAtLocked points into it.
+  struct ReadCall {
+    Transaction* txn;
+    TxnTime at;
+    bool tier_counted = false;
+    Value tier_value{};
+  };
+
+  /// An element of one object: a named element by symbol, or an indexed
+  /// slot by position.
+  using ElementKey = std::variant<SymbolId, std::size_t>;
+
+  /// `oid` as `txn` sees it (workspace copy if present at now, else
+  /// permanent), without access checks or accounting. NotFound, or
+  /// Unavailable once archived. Caller holds store_mu_ (at least shared).
   Result<const GsObject*> ViewLocked(Transaction* txn, Oid oid, TxnTime at)
       const GS_REQUIRES_SHARED(store_mu_);
+
+  /// The read path every element read shares: the active check, the read
+  /// access check, the view lookup, then the accounting — a read-set
+  /// insert at now, or one time-dial read for a past time.
+  Result<const GsObject*> ReadableLocked(const ReadCall& call, Oid oid)
+      GS_REQUIRES_SHARED(store_mu_);
+
+  /// The value of `object`'s element `key` at `call->at`; null = not
+  /// bound then. The one place that decides between the resident table
+  /// and the tier store: below the object's history floor the resident
+  /// table keeps only the creation marker and carry-forward, so the level
+  /// resolver answers, and its errors reach the caller. `resident` is the
+  /// element's resident history (null when the object never bound it):
+  /// callers walking an object's elements already hold it, and a named
+  /// lookup is a linear scan, so the resolver does not repeat it.
+  ///
+  /// The pointer is valid until the next call on `call` (a tier answer
+  /// lives in `call->tier_value`); copy before resolving again. It is a
+  /// pointer, and the tier half is TierElementLocked, so this stays small
+  /// enough to inline: a set's `add:` lists every member, and a per-member
+  /// Value copy or call here doubled the cost of that walk.
+  Result<const Value*> ElementAtLocked(
+      ReadCall* call, const GsObject& object, ElementKey key,
+      const AssociationTable* resident) GS_REQUIRES_SHARED(store_mu_);
+
+  /// ElementAtLocked's tier half: counts the call's first tier answer
+  /// and resolves `key` through the level store into `call->tier_value`.
+  Result<const Value*> TierElementLocked(ReadCall* call,
+                                         const GsObject& object,
+                                         ElementKey key)
+      GS_REQUIRES_SHARED(store_mu_);
+
+  /// `object`'s named elements bound at `call->at`, in element order; nil
+  /// values are dropped when `skip_unbound` is set.
+  Result<std::vector<std::pair<SymbolId, Value>>> NamedAtLocked(
+      ReadCall* call, const GsObject& object, bool skip_unbound)
+      GS_REQUIRES_SHARED(store_mu_);
 
   /// Copy-on-first-write into the workspace. Caller holds store_mu_.
   Result<GsObject*> WorkingCopyLocked(Transaction* txn, Oid oid)
       GS_REQUIRES_SHARED(store_mu_);
 
-  bool DeepEqualsLocked(
-      Transaction* txn, const Value& a, const Value& b, TxnTime at,
-      std::unordered_map<std::uint64_t, std::uint64_t>* assumed) const
+  Result<bool> DeepEqualsLocked(
+      ReadCall* call, const Value& a, const Value& b,
+      std::unordered_map<std::uint64_t, std::uint64_t>* assumed)
       GS_REQUIRES_SHARED(store_mu_);
-
-  /// One element's committed value at `at`, consulting the tier store
-  /// when `at` lies below the object's history floor (where the resident
-  /// table keeps only the creation marker and carry-forward). nullopt =
-  /// not bound at `at`. Tier resolution errors degrade to nullopt here —
-  /// the fallible entry points route and surface errors themselves.
-  std::optional<Value> ResolvedNamedLocked(const GsObject& object,
-                                           SymbolId name, TxnTime at) const
-      GS_REQUIRES_SHARED(store_mu_);
-  std::optional<Value> ResolvedIndexedLocked(const GsObject& object,
-                                             std::size_t index,
-                                             TxnTime at) const
-      GS_REQUIRES_SHARED(store_mu_);
-
-  /// CountBoundNamedAt with sub-floor times routed through the tier.
-  std::size_t CountBoundNamedResolvedLocked(const GsObject& object,
-                                            TxnTime at) const
-      GS_REQUIRES_SHARED(store_mu_);
-
-  /// True when a read of `object` at `at` must consult the level
-  /// resolver instead of the resident association tables.
-  bool RoutesToTierLocked(const GsObject& object, TxnTime at) const
-      GS_REQUIRES_SHARED(store_mu_) {
-    return tiers_ != nullptr && at != kTimeNow && at < object.history_floor();
-  }
 
   /// Backward validation for one accessed object: true when it committed
   /// after `txn` started (created objects are invisible to others and
@@ -286,7 +318,7 @@ class TransactionManager : public storage::tier::HistorySource {
   telemetry::Counter conflicts_;
   telemetry::Counter commit_storage_failures_;
   telemetry::Counter historical_reads_;
-  telemetry::Counter tier_routed_reads_;  // time-dial reads below a floor
+  telemetry::Counter tier_routed_reads_;  // read calls the tier answered
   telemetry::Histogram* commit_latency_us_;  // registry-owned
   telemetry::Registration telemetry_;  // after the counters it samples
 };

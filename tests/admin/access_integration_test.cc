@@ -58,6 +58,23 @@ TEST_F(AccessIntegrationTest, StrangerDeniedOnDataPath) {
             StatusCode::kAuthorizationDenied);
 }
 
+TEST_F(AccessIntegrationTest, StructuralEqualityChecksReadAccess) {
+  txn::Session bob(&manager_, 2, kBob);
+  ASSERT_TRUE(bob.Begin().ok());
+  Oid mine = bob.Create(memory_.kernel().object).ValueOrDie();
+  ASSERT_TRUE(bob.WriteNamed(mine, value_sym_, Value::Integer(24650)).ok());
+  // Comparing against payroll reads its contents: the answer is the
+  // access error, not a boolean that leaks whether the values match.
+  EXPECT_EQ(bob.DeepEquals(Value::Ref(mine), Value::Ref(payroll_))
+                .status()
+                .code(),
+            StatusCode::kAuthorizationDenied);
+  EXPECT_EQ(bob.DeepEquals(Value::Ref(payroll_), Value::Ref(mine))
+                .status()
+                .code(),
+            StatusCode::kAuthorizationDenied);
+}
+
 TEST_F(AccessIntegrationTest, GrantOpensReadButNotWrite) {
   ASSERT_TRUE(
       auth_.Grant(kAlice, segment_, kBob, admin::AccessRight::kRead).ok());

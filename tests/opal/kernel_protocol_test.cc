@@ -87,6 +87,15 @@ TEST_F(KernelProtocolTest, DictionaryValues) {
 // expressions to define the extension of the view. Furthermore, since the
 // view object can retain connections to the objects that contributed to
 // the view ... view updates are more manageable."
+TEST_F(KernelProtocolTest, AbortTransactionAnswersTrue) {
+  Eval("Tally := Object new. System commitTransaction");
+  Eval("Tally instVarNamed: 'n' put: 1");
+  EXPECT_EQ(Eval("System abortTransaction"), Value::Boolean(true));
+  // The abort discarded the write, and a fresh transaction is open.
+  EXPECT_EQ(Eval("Tally instVarNamed: 'n'"), Value::Nil());
+  EXPECT_EQ(Eval("System commitTransaction"), Value::Boolean(true));
+}
+
 TEST_F(KernelProtocolTest, ViewsDropOutForFree) {
   Eval("Object subclass: 'Emp' instVarNames: #('name' 'salary')");
   Eval("Emps := Set new");

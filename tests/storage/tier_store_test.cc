@@ -464,6 +464,54 @@ TEST_F(TierManagerTest, IndexedSizeNeedsNoTierTrip) {
   }
 }
 
+TEST_F(TierManagerTest, DeepEqualsSurfacesTierReadFaults) {
+  const Oid a = CreateOne();
+  const Oid b = CreateOne();
+  const SymbolId x = memory_.symbols().Intern("x");
+  // Both objects step through the same values in the same commits, so
+  // they are structurally equivalent at every time.
+  std::vector<TxnTime> times;
+  for (int i = 0; i < 10; ++i) {
+    auto txn = manager_.Begin(0);
+    for (Oid oid : {a, b}) {
+      ASSERT_TRUE(
+          manager_.WriteNamed(txn.get(), oid, x, Value::Integer(i)).ok());
+    }
+    ASSERT_TRUE(manager_.Commit(txn.get()).ok());
+    times.push_back(manager_.Now());
+  }
+
+  CompactorOptions copts;
+  copts.min_versions = 2;
+  TierCompactor compactor(&tiers_, &manager_, copts);
+  ASSERT_TRUE(compactor.RunOncePass().ok());
+  ASSERT_GT(times[2], kTimeOrigin);
+  ASSERT_LT(times[2], memory_.Find(a)->history_floor());
+  ASSERT_LT(times[2], memory_.Find(b)->history_floor());
+
+  auto reader = manager_.Begin(1);
+  auto equal =
+      manager_.DeepEquals(reader.get(), Value::Ref(a), Value::Ref(b), times[2]);
+  ASSERT_TRUE(equal.ok()) << equal.status().ToString();
+  EXPECT_TRUE(equal.value());
+
+  // Below the floor the values live only on the level platters: a read
+  // fault there is an error, never an answer.
+  for (std::size_t level = 0; level < tiers_.cold_levels(); ++level) {
+    SimulatedDisk* disk = tiers_.level_disk(level);
+    for (TrackId t = 0; t < disk->num_tracks(); ++t) disk->InjectReadFault(t);
+  }
+  EXPECT_EQ(manager_
+                .DeepEquals(reader.get(), Value::Ref(a), Value::Ref(b),
+                            times[2])
+                .status()
+                .code(),
+            StatusCode::kIoError);
+  // At now nothing routes through the tier.
+  EXPECT_TRUE(manager_.DeepEquals(reader.get(), Value::Ref(a), Value::Ref(b))
+                  .value());
+}
+
 TEST_F(TierManagerTest, HotObjectsAreSkipped) {
   const Oid oid = CreateOne();
   const SymbolId x = memory_.symbols().Intern("x");

@@ -60,6 +60,106 @@ TEST_F(SessionTest, TimeDialBlocksWrites) {
   EXPECT_TRUE(session_.WriteNamed(oid, Sym("x"), Value::Integer(1)).ok());
 }
 
+// §4.2: "Two entities can have equivalent structures ... but not be the
+// same object. Thus, we can distinguish, say, two gates in a circuit that
+// have all the same characteristics, but are not physically the same gate."
+TEST_F(SessionTest, IdentityVersusStructuralEquivalence) {
+  ASSERT_TRUE(session_.Begin().ok());
+  Oid gate1 = session_.Create(memory_.kernel().object).ValueOrDie();
+  Oid gate2 = session_.Create(memory_.kernel().object).ValueOrDie();
+  for (Oid g : {gate1, gate2}) {
+    ASSERT_TRUE(
+        session_.WriteNamed(g, Sym("kind"), Value::String("nand")).ok());
+    ASSERT_TRUE(
+        session_.WriteNamed(g, Sym("delayNs"), Value::Integer(4)).ok());
+  }
+  ASSERT_TRUE(session_.Commit().ok());
+  const TxnTime built = manager_.Now();
+
+  ASSERT_TRUE(session_.Begin().ok());
+  // Not identical...
+  EXPECT_NE(Value::Ref(gate1), Value::Ref(gate2));
+  // ...but structurally equivalent.
+  EXPECT_TRUE(session_.DeepEquals(Value::Ref(gate1), Value::Ref(gate2))
+                  .ValueOrDie());
+  ASSERT_TRUE(
+      session_.WriteNamed(gate2, Sym("delayNs"), Value::Integer(9)).ok());
+  ASSERT_TRUE(session_.Commit().ok());
+
+  ASSERT_TRUE(session_.Begin().ok());
+  EXPECT_FALSE(session_.DeepEquals(Value::Ref(gate1), Value::Ref(gate2))
+                   .ValueOrDie());
+  // When first built they were still equivalent.
+  session_.SetTimeDial(built);
+  EXPECT_TRUE(session_.DeepEquals(Value::Ref(gate1), Value::Ref(gate2))
+                  .ValueOrDie());
+}
+
+TEST_F(SessionTest, DeepEqualsDifferentClassesFalse) {
+  ASSERT_TRUE(session_.Begin().ok());
+  Oid a = session_.Create(memory_.kernel().set).ValueOrDie();
+  Oid b = session_.Create(memory_.kernel().bag).ValueOrDie();
+  EXPECT_FALSE(
+      session_.DeepEquals(Value::Ref(a), Value::Ref(b)).ValueOrDie());
+}
+
+TEST_F(SessionTest, DeepEqualsSetsAreUnordered) {
+  ASSERT_TRUE(session_.Begin().ok());
+  Oid s1 = session_.Create(memory_.kernel().set).ValueOrDie();
+  Oid s2 = session_.Create(memory_.kernel().set).ValueOrDie();
+  auto add = [&](Oid set, Value v) {
+    ASSERT_TRUE(session_
+                    .WriteNamed(set, memory_.symbols().GenerateAlias(),
+                                std::move(v))
+                    .ok());
+  };
+  add(s1, Value::String("Olivia"));
+  add(s1, Value::String("Dale"));
+  add(s2, Value::String("Dale"));
+  add(s2, Value::String("Olivia"));
+  EXPECT_TRUE(
+      session_.DeepEquals(Value::Ref(s1), Value::Ref(s2)).ValueOrDie());
+  add(s2, Value::String("Paul"));
+  EXPECT_FALSE(
+      session_.DeepEquals(Value::Ref(s1), Value::Ref(s2)).ValueOrDie());
+}
+
+TEST_F(SessionTest, DeepEqualsHandlesCycles) {
+  ASSERT_TRUE(session_.Begin().ok());
+  Oid a = session_.Create(memory_.kernel().object).ValueOrDie();
+  Oid b = session_.Create(memory_.kernel().object).ValueOrDie();
+  ASSERT_TRUE(session_.WriteNamed(a, Sym("next"), Value::Ref(b)).ok());
+  ASSERT_TRUE(session_.WriteNamed(b, Sym("next"), Value::Ref(a)).ok());
+  // Two mutually-referencing objects: structurally equivalent under the
+  // coinductive reading, and the comparison must terminate.
+  EXPECT_TRUE(session_.DeepEquals(Value::Ref(a), Value::Ref(b)).ValueOrDie());
+}
+
+// A decision taken on a structural comparison depends on every object the
+// comparison read, so those reads are validated at commit like any other:
+// `(X deepEqualTo: Y) ifTrue: [Z instVarNamed: 'bal' put: 99]` must abort
+// when another session changes Y first.
+TEST_F(SessionTest, DeepEqualsJoinsTheReadSet) {
+  ASSERT_TRUE(session_.Begin().ok());
+  Oid x = session_.Create(memory_.kernel().object).ValueOrDie();
+  Oid y = session_.Create(memory_.kernel().object).ValueOrDie();
+  Oid z = session_.Create(memory_.kernel().object).ValueOrDie();
+  for (Oid oid : {x, y, z}) {
+    ASSERT_TRUE(session_.WriteNamed(oid, Sym("bal"), Value::Integer(1)).ok());
+  }
+  ASSERT_TRUE(session_.Commit().ok());
+
+  Session other(&manager_, 2);
+  ASSERT_TRUE(session_.Begin().ok());
+  ASSERT_TRUE(other.Begin().ok());
+  ASSERT_TRUE(
+      session_.DeepEquals(Value::Ref(x), Value::Ref(y)).ValueOrDie());
+  ASSERT_TRUE(session_.WriteNamed(z, Sym("bal"), Value::Integer(99)).ok());
+  ASSERT_TRUE(other.WriteNamed(y, Sym("bal"), Value::Integer(2)).ok());
+  ASSERT_TRUE(other.Commit().ok());
+  EXPECT_TRUE(session_.Commit().IsTransactionConflict());
+}
+
 // Figure 1, end to end through sessions: the company president changes
 // from Ayn Rand to Milton Friedman at time 8; Ayn leaves the employees
 // set at 8 and moves to San Diego afterwards.

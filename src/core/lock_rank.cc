@@ -10,7 +10,7 @@ std::string_view LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kNetConnTable: return "net.conn_table";
     case LockRank::kNetConnection: return "net.connection";
-    case LockRank::kNetExecutor: return "net.executor";
+    case LockRank::kExecutorWriter: return "executor.writer";
     case LockRank::kExecutorSessions: return "executor.sessions";
     case LockRank::kOpalGlobals: return "opal.globals";
     case LockRank::kTxnStore: return "txn.store";

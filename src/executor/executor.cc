@@ -109,6 +109,19 @@ opal::Interpreter* Executor::interpreter(SessionId id) {
   return it == sessions_.end() ? nullptr : it->second.interpreter.get();
 }
 
+txn::Session* Executor::ReadPathSession(SessionId id, RequestKind kind) {
+  if (kind == RequestKind::kOther) return nullptr;
+  txn::Session* s = session(id);
+  if (s == nullptr) return nullptr;
+  // A commit validates, persists and publishes what its transaction
+  // recorded, and a dial changes none of that: only an access-free commit
+  // (the manager's lock-free tier 0) may skip the writer lock.
+  const bool eligible = kind == RequestKind::kCommit
+                            ? s->RecordedNothing()
+                            : s->SnapshotReadEligible();
+  return eligible ? s : nullptr;
+}
+
 Result<Value> Executor::Execute(SessionId session, std::string_view source) {
   opal::Interpreter* interp = interpreter(session);
   if (interp == nullptr) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -19,6 +20,7 @@
 #include "stdm/calculus.h"
 #include "stdm/stdm_value.h"
 #include "storage/storage_engine.h"
+#include "telemetry/trace.h"
 #include "txn/session.h"
 #include "txn/transaction_manager.h"
 
@@ -98,6 +100,58 @@ class Executor {
   Result<std::string> ExplainStdm(SessionId session,
                                   std::string_view query_text, bool analyze);
 
+  // --- Request execution --------------------------------------------------------
+
+  /// What a request does, as far as choosing how it runs goes. The gateway
+  /// maps each wire message type to one of these.
+  enum class RequestKind : std::uint8_t {
+    kQuery,   // OPAL block, set-calculus query or EXPLAIN
+    kDial,    // time-dial change
+    kCommit,  // commit of the session's transaction
+    kOther,   // login, logout, begin, abort and anything else
+  };
+
+  /// Which legs one RunRequest took, and how long it waited for the lock.
+  struct RunLegs {
+    bool read_path = false;  // tried on the snapshot read path
+    bool retried = false;    // bounced kReadOnlyRetry, reran under the lock
+    std::uint64_t lock_wait_ns = 0;  // blocked on the writer lock
+  };
+
+  /// Runs one request of `session` (0: none logged in) by calling `body`,
+  /// and answers the status of its last call. The one place that decides
+  /// how a request runs (DESIGN.md §12):
+  ///  - A query, dial or commit of an eligible session runs first on the
+  ///    snapshot read path, without the writer lock. Eligible: the time
+  ///    dial is set or the transaction has recorded nothing; a commit only
+  ///    when it has recorded nothing. A query there runs pinned to
+  ///    SafeTime unless a dial already fixes its view.
+  ///  - Everything else runs `body` under the writer lock, and so does a
+  ///    pinned query once more when its first call answers kReadOnlyRetry
+  ///    (the code turned out to write; the bounce never reaches the caller).
+  /// `on_lock(false)` fires just before blocking on the writer lock and
+  /// `on_lock(true)` once it is held, so a caller can show the wait live.
+  template <typename Body, typename OnLock>
+  Status RunRequest(SessionId session, RequestKind kind, Body&& body,
+                    OnLock&& on_lock, RunLegs* legs) {
+    if (txn::Session* s = ReadPathSession(session, kind)) {
+      legs->read_path = true;
+      std::optional<txn::SnapshotPin> pin;  // released before the lock
+      if (kind == RequestKind::kQuery && !s->DialSet()) {
+        pin.emplace(s, transactions_.SafeTime());
+      }
+      const Status status = body();
+      if (!status.IsReadOnlyRetry()) return status;
+      legs->retried = true;
+    }
+    on_lock(false);
+    const std::uint64_t wait_start_ns = telemetry::TraceNowNs();
+    MutexLock lock(writer_mu_);
+    legs->lock_wait_ns = telemetry::TraceNowNs() - wait_start_ns;
+    on_lock(true);
+    return body();
+  }
+
   // --- Schema persistence -----------------------------------------------------
 
   /// Persists user class definitions + method sources into the system
@@ -128,6 +182,11 @@ class Executor {
 
   void Bootstrap();
 
+  /// The session when a `kind` request of it may run on the snapshot read
+  /// path, else null. Decided outside any lock: only the caller serving
+  /// this session mutates that state, so the answer cannot go stale.
+  txn::Session* ReadPathSession(SessionId id, RequestKind kind);
+
   /// Resolves each named free variable from the globals and exports its
   /// object graph at the session's effective time; `exported` keeps the
   /// values' addresses stable for the Bindings.
@@ -145,6 +204,12 @@ class Executor {
   opal::GlobalEnv globals_;
   index::DirectoryManager directories_;
   txn::TransactionManager transactions_;
+
+  /// Serializes every request RunRequest does not run on the snapshot
+  /// read path: mutating OPAL, transaction control, login and logout. The
+  /// shared structures below are internally synchronized, so read-path
+  /// requests skip it; it is the serialization point for writers.
+  Mutex writer_mu_{LockRank::kExecutorWriter, "executor.writer_mu"};
 
   std::atomic<SessionId> next_session_{1};
   mutable SharedMutex sessions_mu_{LockRank::kExecutorSessions,

@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -51,6 +50,19 @@ class SessionOwnerBinding {
  private:
   txn::Session* session_;
 };
+
+/// The Executor's view of a wire request: what decides how it runs.
+executor::Executor::RequestKind KindOf(MsgType type) {
+  using Kind = executor::Executor::RequestKind;
+  switch (type) {
+    case MsgType::kExecuteOpal:
+    case MsgType::kStdmQuery:
+    case MsgType::kExplain: return Kind::kQuery;
+    case MsgType::kSetTimeDial: return Kind::kDial;
+    case MsgType::kCommit: return Kind::kCommit;
+    default: return Kind::kOther;
+  }
+}
 
 }  // namespace
 
@@ -100,7 +112,7 @@ struct Server::Connection {
 
   // The request this connection's worker is serving right now (status
   // page only; monitoring-grade consistency).
-  std::atomic<std::uint8_t> inflight_stage{0};  // RequestStage
+  std::atomic<RequestStage> inflight_stage{RequestStage::kIdle};
   std::atomic<std::uint64_t> inflight_trace_id{0};
   std::atomic<std::uint8_t> inflight_type{0};  // MsgType
 
@@ -544,10 +556,9 @@ void Server::CompleteFlushes(Connection* conn, std::uint64_t now_ns) {
     if (done.empty()) return;
     if (conn->awaiting_flush.empty() &&
         conn->inflight_stage.load(std::memory_order_relaxed) ==
-            static_cast<std::uint8_t>(RequestStage::kFlush)) {
-      conn->inflight_stage.store(
-          static_cast<std::uint8_t>(RequestStage::kIdle),
-          std::memory_order_relaxed);
+            RequestStage::kFlush) {
+      conn->inflight_stage.store(RequestStage::kIdle,
+                                 std::memory_order_relaxed);
     }
   }
   for (const PendingFlush& pf : done) {
@@ -649,7 +660,7 @@ void Server::ReapDeadConnections() {
       // Logout aborts any transaction the disconnected client left open.
       // `dead && !scheduled` guarantees no worker still references the
       // session, and the Executor's session table is internally
-      // synchronized, so no executor_mu_ — a reap never waits behind a
+      // synchronized, so no writer lock — a reap never waits behind a
       // long-running request.
       (void)executor_->Logout(session);
     }
@@ -716,7 +727,6 @@ void Server::WorkerLoop() {
 }
 
 Server::Reply Server::ErrorReply(const Status& status) {
-  if (status.IsReadOnlyRetry()) return Reply{MsgType::kOk, "", true};
   request_errors_->Increment();
   return Reply{MsgType::kError, EncodeErrorPayload(status)};
 }
@@ -740,34 +750,21 @@ void Server::HandleRequest(Connection* conn, Request&& request) {
   conn->inflight_trace_id.store(request.trace_id, std::memory_order_relaxed);
   conn->inflight_type.store(static_cast<std::uint8_t>(request.type),
                             std::memory_order_relaxed);
-  conn->inflight_stage.store(
-      static_cast<std::uint8_t>(RequestStage::kLockWait),
-      std::memory_order_relaxed);
+  conn->inflight_stage.store(RequestStage::kExecute,
+                             std::memory_order_relaxed);
 
   const telemetry::IoTally io_before = telemetry::ThreadIoTally();
   Reply reply;
-  // A request may run in two legs (optimistic read path, then the
-  // exclusive retry), so lock-wait and execute accumulate piecewise; the
-  // stage telescoping (total = queue + lock_wait + execute + serialize +
-  // flush) holds over the sums.
-  std::uint64_t lock_wait_ns = 0;
-  std::uint64_t execute_ns = 0;
+  executor::Executor::RunLegs legs;  // all zero for timeouts and Stats
 
   const std::uint64_t timeout_ns = options_.request_timeout_ms * 1'000'000;
   if (timeout_ns > 0 && dequeue_ns - request.received_ns > timeout_ns) {
     request_timeouts_->Increment();
-    conn->inflight_stage.store(
-        static_cast<std::uint8_t>(RequestStage::kExecute),
-        std::memory_order_relaxed);
     reply = ErrorReply(Status::Unavailable(
         "request timed out waiting for a worker (server overloaded)"));
   } else if (request.type == MsgType::kStats) {
-    // Stats is a monitoring endpoint: no login, no executor lock (the
+    // Stats is a monitoring endpoint: no login, no writer lock (the
     // lock_wait stage is genuinely zero here).
-    conn->inflight_stage.store(
-        static_cast<std::uint8_t>(RequestStage::kExecute),
-        std::memory_order_relaxed);
-    const std::uint64_t exec_start = telemetry::TraceNowNs();
     const std::uint8_t format =
         request.payload.empty()
             ? kStatsText
@@ -785,53 +782,39 @@ void Server::HandleRequest(Connection* conn, Request&& request) {
       }
     }
     reply = Reply{MsgType::kOk, std::move(text)};
-    execute_ns = telemetry::TraceNowNs() - exec_start;
   } else {
-    // Snapshot read path first, when eligible: no executor lock. If the
-    // code turns out to write, the pinned session answers kReadOnlyRetry
-    // before mutating anything and the request reruns under the lock.
-    bool exclusive = true;
-    std::uint64_t wait_start = dequeue_ns;
-    if (ReadPathEligible(conn, request)) {
-      read_path_requests_->Increment();
-      conn->inflight_stage.store(
-          static_cast<std::uint8_t>(RequestStage::kExecute),
-          std::memory_order_relaxed);
-      const std::uint64_t exec_start = telemetry::TraceNowNs();
-      reply = Dispatch(conn, request, /*pinned=*/true);
-      wait_start = telemetry::TraceNowNs();
-      execute_ns += wait_start - exec_start;
-      exclusive = reply.retry_exclusive;
-      if (exclusive) read_path_retries_->Increment();
-    }
-    if (exclusive) {
-      conn->inflight_stage.store(
-          static_cast<std::uint8_t>(RequestStage::kLockWait),
-          std::memory_order_relaxed);
-      MutexLock lock(executor_mu_);
-      const std::uint64_t locked_ns = telemetry::TraceNowNs();
-      lock_wait_ns += locked_ns - wait_start;
-      conn->inflight_stage.store(
-          static_cast<std::uint8_t>(RequestStage::kExecute),
-          std::memory_order_relaxed);
-      reply = Dispatch(conn, request, /*pinned=*/false);
-      execute_ns += telemetry::TraceNowNs() - locked_ns;
-    }
+    // The Executor decides how the request runs: on the snapshot read
+    // path, under its writer lock, or first the one and then the other.
+    // The time it reports blocked on the lock is the lock_wait stage.
+    const Status status = executor_->RunRequest(
+        conn->session.load(std::memory_order_relaxed), KindOf(request.type),
+        [&]() -> Status {
+          GS_ASSIGN_OR_RETURN(reply, Dispatch(conn, request));
+          return Status::OK();
+        },
+        [&](bool locked) {
+          conn->inflight_stage.store(
+              locked ? RequestStage::kExecute : RequestStage::kLockWait,
+              std::memory_order_relaxed);
+        },
+        &legs);
+    if (!status.ok()) reply = ErrorReply(status);
+    if (legs.read_path) read_path_requests_->Increment();
+    if (legs.retried) read_path_retries_->Increment();
   }
 
-  // Synthetic boundary: any instrumentation gap folds into serialize.
-  const std::uint64_t execute_done_ns =
-      dequeue_ns + lock_wait_ns + execute_ns;
+  const std::uint64_t execute_done_ns = telemetry::TraceNowNs();
+  const std::uint64_t lock_wait_ns = legs.lock_wait_ns;
+  const std::uint64_t execute_ns = execute_done_ns - dequeue_ns - lock_wait_ns;
   stage_lock_wait_us_->Observe(lock_wait_ns / 1000);
   stage_execute_us_->Observe(execute_ns / 1000);
   const telemetry::IoTally io_after = telemetry::ThreadIoTally();
   const telemetry::IoTally io = telemetry::IoDelta(io_before, io_after);
 
-  // Serialize outside the executor lock: framing is the response's cost,
+  // Serialize outside the writer lock: framing is the response's cost,
   // not the database's.
-  conn->inflight_stage.store(
-      static_cast<std::uint8_t>(RequestStage::kSerialize),
-      std::memory_order_relaxed);
+  conn->inflight_stage.store(RequestStage::kSerialize,
+                             std::memory_order_relaxed);
   const std::string response =
       EncodeFrame(reply.type, request.trace_id, request.seq, reply.payload);
   const std::uint64_t serialized_ns = telemetry::TraceNowNs();
@@ -862,35 +845,12 @@ void Server::HandleRequest(Connection* conn, Request&& request) {
     }
   }
   conn->inflight_stage.store(
-      static_cast<std::uint8_t>(appended ? RequestStage::kFlush
-                                         : RequestStage::kIdle),
+      appended ? RequestStage::kFlush : RequestStage::kIdle,
       std::memory_order_relaxed);
 }
 
-bool Server::ReadPathEligible(Connection* conn, const Request& request) {
-  switch (request.type) {
-    case MsgType::kExecuteOpal:
-    case MsgType::kStdmQuery:
-    case MsgType::kExplain:
-    case MsgType::kSetTimeDial:
-    case MsgType::kCommit:
-      break;
-    default:
-      return false;
-  }
-  if (!conn->logged_in.load(std::memory_order_relaxed)) return false;
-  const txn::Session* session =
-      executor_->session(conn->session.load(std::memory_order_relaxed));
-  if (session == nullptr) return true;  // Dispatch reports NotFound
-  // A commit validates, persists and publishes what its transaction
-  // recorded, and a dial changes none of that: only an access-free
-  // commit (the manager's lock-free tier 0) may skip executor_mu_.
-  return request.type == MsgType::kCommit ? session->RecordedNothing()
-                                          : session->SnapshotReadEligible();
-}
-
-Server::Reply Server::Dispatch(Connection* conn, const Request& request,
-                               bool pinned) {
+Result<Server::Reply> Server::Dispatch(Connection* conn,
+                                       const Request& request) {
   const bool logged_in = conn->logged_in.load(std::memory_order_relaxed);
   const SessionId conn_session =
       conn->session.load(std::memory_order_relaxed);
@@ -904,8 +864,7 @@ Server::Reply Server::Dispatch(Connection* conn, const Request& request,
         request.type == MsgType::kSetTimeDial ||
         request.type == MsgType::kExplain ||
         request.type == MsgType::kLogout) {
-      return ErrorReply(
-          Status::TransactionState("not logged in: send Login first"));
+      return Status::TransactionState("not logged in: send Login first");
     }
   }
 
@@ -914,90 +873,71 @@ Server::Reply Server::Dispatch(Connection* conn, const Request& request,
   // release would touch freed memory.
   if (request.type == MsgType::kLogin) {
     if (logged_in) {
-      return ErrorReply(
-          Status::TransactionState("connection already logged in"));
+      return Status::TransactionState("connection already logged in");
     }
     std::uint32_t user = 0;
     if (request.payload.size() != 4 || !ReadU32(request.payload, 0, &user)) {
-      return ErrorReply(
-          Status::InvalidArgument("Login payload must be a u32 user id"));
+      return Status::InvalidArgument("Login payload must be a u32 user id");
     }
-    auto logged = executor_->Login(static_cast<UserId>(user));
-    if (!logged.ok()) return ErrorReply(logged.status());
-    conn->session.store(logged.value(), std::memory_order_relaxed);
+    GS_ASSIGN_OR_RETURN(const SessionId id,
+                        executor_->Login(static_cast<UserId>(user)));
+    conn->session.store(id, std::memory_order_relaxed);
     conn->logged_in.store(true, std::memory_order_relaxed);
     std::string payload;
-    AppendU64(&payload, logged.value());
+    AppendU64(&payload, id);
     return Reply{MsgType::kOk, std::move(payload)};
   }
   if (request.type == MsgType::kLogout) {
     Status s = executor_->Logout(conn_session);
     conn->logged_in.store(false, std::memory_order_relaxed);
     conn->session.store(0, std::memory_order_relaxed);
-    if (!s.ok()) return ErrorReply(s);
-    return Reply{MsgType::kOk, ""};
+    GS_RETURN_IF_ERROR(s);
+    return Reply{};
   }
 
   txn::Session* session =
       logged_in ? executor_->session(conn_session) : nullptr;
   if (logged_in && session == nullptr) {
-    return ErrorReply(Status::NotFound("no such session: " +
-                                       std::to_string(conn_session)));
+    return Status::NotFound("no such session: " +
+                            std::to_string(conn_session));
   }
   SessionOwnerBinding owner(session);
 
-  // On the read path, queries run pinned to the SafeTime commit snapshot
-  // (a set dial already fixes the view): reads record nothing, so they
-  // can neither conflict nor be invalidated by concurrent commits, and a
-  // side effect answers kReadOnlyRetry before mutating anything.
-  std::optional<txn::SnapshotPin> pin;
-  if (pinned && !session->DialSet() &&
-      (request.type == MsgType::kExecuteOpal ||
-       request.type == MsgType::kStdmQuery ||
-       request.type == MsgType::kExplain)) {
-    pin.emplace(session, executor_->transactions().SafeTime());
-  }
-
   switch (request.type) {
     case MsgType::kExecuteOpal: {
-      auto result = executor_->ExecuteToString(conn_session, request.payload);
-      if (!result.ok()) return ErrorReply(result.status());
-      return Reply{MsgType::kOk, std::move(result.value())};
+      GS_ASSIGN_OR_RETURN(std::string text, executor_->ExecuteToString(
+                                                conn_session, request.payload));
+      return Reply{MsgType::kOk, std::move(text)};
     }
 
     case MsgType::kStdmQuery: {
-      auto result = executor_->ExecuteStdm(conn_session, request.payload);
-      if (!result.ok()) return ErrorReply(result.status());
-      return Reply{MsgType::kOk, std::move(result.value())};
+      GS_ASSIGN_OR_RETURN(std::string text,
+                          executor_->ExecuteStdm(conn_session, request.payload));
+      return Reply{MsgType::kOk, std::move(text)};
     }
 
-    case MsgType::kBegin: {
-      Status s = session->Begin();
-      if (!s.ok()) return ErrorReply(s);
-      return Reply{MsgType::kOk, ""};
-    }
+    case MsgType::kBegin:
+      GS_RETURN_IF_ERROR(session->Begin());
+      return Reply{};
 
     case MsgType::kCommit: {
       // 1:1 with Session::Commit — the transaction ends either way; the
       // client decides when to Begin the next one. A conflict travels
       // back as an error frame, never a disconnect.
-      Status s = session->Commit();
-      if (!s.ok()) return ErrorReply(s);
+      GS_RETURN_IF_ERROR(session->Commit());
       std::string payload;
       AppendU64(&payload, executor_->transactions().Now());
       return Reply{MsgType::kOk, std::move(payload)};
     }
 
-    case MsgType::kAbort: {
-      Status s = session->Abort();
-      if (!s.ok()) return ErrorReply(s);
-      return Reply{MsgType::kOk, ""};
-    }
+    case MsgType::kAbort:
+      GS_RETURN_IF_ERROR(session->Abort());
+      return Reply{};
 
     case MsgType::kSetTimeDial: {
       if (request.payload.empty()) {
-        return ErrorReply(Status::InvalidArgument(
-            "SetTimeDial payload must carry a mode byte"));
+        return Status::InvalidArgument(
+            "SetTimeDial payload must carry a mode byte");
       }
       const auto mode = static_cast<std::uint8_t>(request.payload[0]);
       if (mode == kDialClear && request.payload.size() == 1) {
@@ -1009,22 +949,23 @@ Server::Reply Server::Dispatch(Connection* conn, const Request& request,
         ReadU64(request.payload, 1, &time);
         session->SetTimeDial(time);
       } else {
-        return ErrorReply(
-            Status::InvalidArgument("malformed SetTimeDial payload"));
+        return Status::InvalidArgument("malformed SetTimeDial payload");
       }
-      return Reply{MsgType::kOk, ""};
+      return Reply{};
     }
 
     case MsgType::kExplain: {
       if (request.payload.empty()) {
-        return ErrorReply(Status::InvalidArgument(
-            "Explain payload must carry an analyze byte and a query"));
+        return Status::InvalidArgument(
+            "Explain payload must carry an analyze byte and a query");
       }
       const bool analyze = request.payload[0] != 0;
-      auto result = executor_->ExplainStdm(
-          conn_session, std::string_view(request.payload).substr(1), analyze);
-      if (!result.ok()) return ErrorReply(result.status());
-      return Reply{MsgType::kOk, std::move(result.value())};
+      GS_ASSIGN_OR_RETURN(
+          std::string text,
+          executor_->ExplainStdm(
+              conn_session, std::string_view(request.payload).substr(1),
+              analyze));
+      return Reply{MsgType::kOk, std::move(text)};
     }
 
     default: {
@@ -1110,8 +1051,8 @@ std::string Server::StatusJson() const {
       if (dead) continue;
       if (!first) out << ",";
       first = false;
-      const auto stage = static_cast<RequestStage>(
-          conn->inflight_stage.load(std::memory_order_relaxed));
+      const RequestStage stage =
+          conn->inflight_stage.load(std::memory_order_relaxed);
       out << "{\"id\":" << conn->id << ",\"session\":"
           << conn->session.load(std::memory_order_relaxed)
           << ",\"logged_in\":"

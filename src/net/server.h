@@ -15,6 +15,7 @@
 
 #include "admin/authorization.h"
 #include "core/annotations.h"
+#include "core/result.h"
 #include "core/status.h"
 #include "core/sync.h"
 #include "executor/executor.h"
@@ -73,7 +74,7 @@ struct ServerOptions {
 /// `net.stage.*` histograms measure. Exposed per connection in /statusz.
 enum class RequestStage : std::uint8_t {
   kIdle = 0,    // no request being served
-  kLockWait,    // dequeued, waiting on executor_mu_
+  kLockWait,    // waiting on the Executor's writer lock
   kExecute,     // inside the Executor
   kSerialize,   // encoding the response frame
   kFlush,       // response in the outbox, waiting for the socket
@@ -94,11 +95,9 @@ std::string_view RequestStageName(RequestStage stage);
 /// in the dispatch queue at most once, so its requests execute in order
 /// and its Session is never touched by two workers at once (enforced in
 /// GS_THREAD_SAFETY builds by the Session owner assertion). One
-/// Dispatch switch serves both modes: read-shaped requests on an
-/// access-free session run it without executor_mu_, pinned to the
-/// SafeTime commit snapshot; everything else — and any read whose code
-/// turns out to write (kReadOnlyRetry) — runs it again under
-/// executor_mu_.
+/// Dispatch switch serves every request; Executor::RunRequest decides
+/// how it runs (snapshot read path or writer lock), and the server only
+/// times the legs it reports.
 class Server {
  public:
   /// `executor` must outlive the server. `auth`, when non-null, is
@@ -150,16 +149,11 @@ class Server {
   struct Request;
 
   /// A response before framing: Dispatch returns one of these so the
-  /// frame encode (the serialize stage) happens *outside* executor_mu_ —
-  /// the coarse lock holds only real Executor work.
+  /// frame encode (the serialize stage) happens outside the Executor's
+  /// writer lock — the lock holds only real Executor work.
   struct Reply {
     MsgType type = MsgType::kOk;
     std::string payload;
-    /// Set by ErrorReply for a kReadOnlyRetry status (a side effect under
-    /// the snapshot pin): the caller discards this reply and reruns the
-    /// request under executor_mu_. Never leaves the server — the client
-    /// sees only the retried outcome.
-    bool retry_exclusive = false;
   };
 
   /// Stage timings and identity of one response waiting in the outbox for
@@ -195,21 +189,14 @@ class Server {
   void ReapDeadConnections();
   void WakeLoop();
 
-  /// Executes one request and appends the response frame to the outbox,
-  /// observing the queue/lock_wait/execute/serialize stage histograms.
+  /// Executes one request through Executor::RunRequest and appends the
+  /// response frame to the outbox, observing the queue/lock_wait/execute/
+  /// serialize stage histograms.
   void HandleRequest(Connection* conn, Request&& request);
-  /// True when `request` may try the snapshot read path: a read-shaped
-  /// type on a logged-in connection whose session has a time dial or a
-  /// transaction with no recorded accesses; a commit qualifies only when
-  /// its transaction recorded nothing. Decided outside any lock — only
-  /// this connection's worker mutates that state (per-connection FIFO),
-  /// so the answer cannot go stale before dispatch.
-  bool ReadPathEligible(Connection* conn, const Request& request);
-  /// The one request switch: `pinned` on the snapshot read path (no lock;
-  /// queries pinned to SafeTime unless dialed), unpinned under executor_mu_.
-  Reply Dispatch(Connection* conn, const Request& request, bool pinned);
-  /// Renders a failure as a counted kError reply. kReadOnlyRetry is no
-  /// failure: it becomes an uncounted retry_exclusive reply.
+  /// The one request switch, called by Executor::RunRequest in whichever
+  /// mode it chose (once, or twice when a read-path attempt bounces).
+  Result<Reply> Dispatch(Connection* conn, const Request& request);
+  /// Renders a failure as a counted kError reply.
   Reply ErrorReply(const Status& status);
   /// Completes flushed responses on `conn`: pops every PendingFlush whose
   /// bytes have reached the socket, observing flush and total latency and
@@ -237,15 +224,6 @@ class Server {
   std::thread loop_thread_;
   std::vector<std::thread> worker_threads_;
 
-  /// Serializes the *write path* into the Executor: mutating OPAL,
-  /// transaction control, login/logout. The Executor's shared structures
-  /// (session table, class registry, globals, TransactionManager) are
-  /// internally synchronized, so snapshot read-path requests bypass this
-  /// lock entirely (DESIGN.md §12); it survives as the serialization
-  /// point for writers and as the fallback for reads that turn out to
-  /// write. Lock order: never while holding conn_table_mu_ or conn->mu.
-  Mutex executor_mu_{LockRank::kNetExecutor, "net.executor_mu"};
-
   /// Dispatch queue: connections with pending requests, each present at
   /// most once. Guarded by queue_mu_ — a raw std::mutex (invisible to the
   /// thread-safety analysis and the lock-order validator) because the
@@ -258,8 +236,8 @@ class Server {
 
   /// Connection table. Written by the event-loop thread; StatusJson (any
   /// thread) reads it, so the table itself is lock-protected. Lock order:
-  /// conn_table_mu_ before conn->mu and before executor_mu_; workers take
-  /// it only from the (otherwise lock-free) status path.
+  /// conn_table_mu_ before conn->mu and before the Executor's locks;
+  /// workers take it only from the (otherwise lock-free) status path.
   mutable Mutex conn_table_mu_{LockRank::kNetConnTable,
                                "net.conn_table_mu"};
   std::map<int, std::shared_ptr<Connection>> connections_

@@ -43,6 +43,12 @@ Result<Value> Interpreter::Run(std::shared_ptr<const CompiledMethod> body) {
   Result<Value> result =
       Activate(*body, kNilOid, Value::Nil(), {}, nullptr, 0,
                /*is_block=*/false);
+  // One atomic add per counter per Run, not one per bytecode or send.
+  message_sends_.Increment(tally_.message_sends);
+  primitive_calls_.Increment(tally_.primitive_calls);
+  block_invocations_.Increment(tally_.block_invocations);
+  bytecodes_.Increment(tally_.bytecodes);
+  tally_ = InterpreterStats{};
   if (nlr_active_) {
     nlr_active_ = false;
     return Status::RuntimeError(
@@ -135,7 +141,7 @@ Result<Value> Interpreter::DispatchSend(const Value& receiver,
                                         SymbolId selector,
                                         std::vector<Value> args,
                                         bool super_send, Oid defining_class) {
-  message_sends_.Increment();
+  ++tally_.message_sends;
   // Selector-name lookup only when profiling (the name is an interned
   // string with process lifetime, so the scope's view stays valid).
   telemetry::ProfileScope profile_scope(
@@ -172,7 +178,7 @@ Result<Value> Interpreter::DispatchSend(const Value& receiver,
         memory_->symbols().Name(selector));
   }
   if (const auto* primitive = dynamic_cast<const PrimitiveMethod*>(method)) {
-    primitive_calls_.Increment();
+    ++tally_.primitive_calls;
     return primitive->fn(*this, receiver, args);
   }
   const auto* compiled = static_cast<const CompiledMethod*>(method);
@@ -200,7 +206,7 @@ Result<Value> Interpreter::CallBlock(const Value& block,
         "block expects " + std::to_string(closure->method->num_args) +
         " arguments, got " + std::to_string(args.size()));
   }
-  block_invocations_.Increment();
+  ++tally_.block_invocations;
   return Activate(*closure->method, closure->home_class,
                   closure->home_receiver, std::move(args), closure->home_env,
                   closure->home_frame_id, /*is_block=*/true);
@@ -264,7 +270,7 @@ Result<Value> Interpreter::Execute(Frame& frame) {
   };
 
   while (ip < code.size()) {
-    bytecodes_.Increment();
+    ++tally_.bytecodes;
     const Op op = static_cast<Op>(u8());
     switch (op) {
       case Op::kPushLiteral:

@@ -96,6 +96,7 @@ class Interpreter {
     directories_ = directories;
   }
   index::DirectoryManager* directories() { return directories_; }
+  /// Totals as of the last Run's return (Run publishes its counts then).
   InterpreterStats stats() const;
   void ResetStats();
 
@@ -160,6 +161,10 @@ class Interpreter {
   telemetry::Counter block_invocations_;
   telemetry::Counter bytecodes_;
   telemetry::Registration telemetry_;  // after the counters it samples
+  /// Session-confined counts since the last publish: the hot loop bumps
+  /// these plain integers, and Run adds them to the counters above once
+  /// before it returns.
+  InterpreterStats tally_;
 
   std::uint64_t next_frame_id_ = 1;
   bool nlr_active_ = false;

@@ -844,7 +844,7 @@ Result<Value> PrimClassInstVarNames(Interpreter& interp,
 }
 
 /// Schema mutation touches shared state outside the transaction
-/// workspace, so it may only run on the gateway's exclusive write path; a
+/// workspace, so it may only run under the Executor's writer lock; a
 /// snapshot-pinned evaluation bounces with kReadOnlyRetry before mutating
 /// anything.
 Status RequireSchemaWritable(Interpreter& interp, const char* what) {

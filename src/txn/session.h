@@ -60,16 +60,16 @@ class Session {
     return snapshot_.value_or(kTimeNow);
   }
 
-  // --- Snapshot pin (the gateway's lock-free read path) -----------------------
+  // --- Snapshot pin (the Executor's lock-free read path) ----------------------
   //
   // Pinning behaves like a transient time dial at SafeTime: every read
   // resolves against the pinned committed state (so it records nothing in
   // the read set and never consults the workspace), and every side effect
   // — object writes, creates, global assignment, schema or directory
-  // mutation — fails with kReadOnlyRetry instead of executing. The
-  // gateway pins before running a request optimistically outside the
-  // executor lock; a retry status means "this block writes after all",
-  // and the request reruns on the exclusive path.
+  // mutation — fails with kReadOnlyRetry instead of executing.
+  // Executor::RunRequest pins before running a request optimistically
+  // outside its writer lock; a retry status means "this block writes
+  // after all", and the request reruns under the lock.
   //
   // Only pin a session whose transaction is fresh (nothing read at now,
   // nothing written or created): pinned reads escape commit-time
@@ -166,9 +166,8 @@ class Session {
 #endif
 };
 
-/// RAII snapshot pin: pins on entry, unpins on scope exit. The gateway
-/// wraps each optimistic read-path dispatch in one of these so a retry
-/// (or an early return) can never leave the session pinned.
+/// RAII snapshot pin: pins on entry, unpins on scope exit, so a bounced
+/// read-path attempt in Executor::RunRequest never leaves a session pinned.
 class SnapshotPin {
  public:
   SnapshotPin(Session* session, TxnTime t) : session_(session) {

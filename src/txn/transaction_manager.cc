@@ -154,7 +154,7 @@ Status TransactionManager::Commit(Transaction* txn) {
     return Status::OK();
   };
 
-  // A transaction that recorded nothing (the gateway's snapshot read path
+  // A transaction that recorded nothing (the Executor's snapshot read path
   // resolves every read at a pinned past time) releases without touching
   // the store lock at all — there is nothing to validate or publish.
   if (txn->read_set_.empty() && txn->dirty_.empty() &&

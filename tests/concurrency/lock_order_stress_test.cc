@@ -28,7 +28,7 @@ TEST(LockOrderStressTest, ReadMixKeepsAcquisitionGraphAcyclic) {
   // The production lattice in miniature, ranked exactly as src/ declares.
   Mutex conn_table{LockRank::kNetConnTable, "stress.conn_table"};
   Mutex conn{LockRank::kNetConnection, "stress.conn"};
-  Mutex executor{LockRank::kNetExecutor, "stress.executor"};
+  Mutex executor{LockRank::kExecutorWriter, "stress.executor"};
   SharedMutex store{LockRank::kTxnStore, "stress.store"};
   Mutex memory{LockRank::kObjectMemory, "stress.memory"};
   Mutex metrics{LockRank::kTelemetryMetrics, "stress.metrics"};

@@ -161,7 +161,7 @@ TEST_F(ReadPathTest, DialedCommitOfAWriteTakesTheExclusivePath) {
       client.Execute("Obj := Object new. Obj instVarNamed: 'n' put: 7")
           .ok());
   // The dial makes the session's reads eligible again, but not its
-  // commit: validate, persist and publish must run under executor_mu_.
+  // commit: validate, persist and publish must run under the writer lock.
   ASSERT_TRUE(client.SetTimeDialToSafeTime().ok());
 
   Client monitor = Connected();

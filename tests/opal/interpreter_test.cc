@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "executor/executor.h"
+#include "telemetry/metrics.h"
 
 namespace gemstone::opal {
 namespace {
@@ -405,6 +406,36 @@ TEST_F(OpalTest, TransactionConflictSurfacesAsFalse) {
   EXPECT_EQ(Eval("Shared instVarNamed: 'n' put: 2. "
                  "System commitTransaction"),
             Value::Boolean(true));
+}
+
+// The interpreter counts in plain session-confined members and publishes
+// to its registry counters once per Run: a fixed program moves the
+// process-wide totals by exactly its own bytecodes, sends, primitives and
+// block calls, all visible the moment Execute returns.
+TEST_F(OpalTest, RunPublishesExactInterpreterCounters) {
+  const char* kNames[] = {"opal.bytecodes", "opal.message_sends",
+                          "opal.primitive_calls", "opal.block_invocations"};
+  auto totals = [&] {
+    const telemetry::Snapshot snap =
+        telemetry::MetricsRegistry::Global().Snapshot();
+    std::vector<std::uint64_t> out;
+    for (const char* name : kNames) {
+      auto it = snap.counters.find(name);
+      out.push_back(it == snap.counters.end() ? 0 : it->second);
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> before = totals();
+  EXPECT_EQ(Eval("| sum squares | sum := 0. "
+                 "1 to: 10 do: [:i | sum := sum + i]. "
+                 "squares := #(1 2 3 4) collect: [:x | x * x]. "
+                 "(squares inject: 0 into: [:a :b | a + b]) + sum"),
+            Value::Integer(85));
+  const std::vector<std::uint64_t> after = totals();
+  const std::vector<std::uint64_t> want = {106, 22, 22, 18};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], want[i]) << kNames[i];
+  }
 }
 
 }  // namespace

@@ -22,6 +22,11 @@ that generic tools cannot know about (DESIGN.md §12–§13):
                        strictly below the executor lattice: it may not
                        acquire a gateway/executor/opal LockRank, nor
                        include those layers' headers (DESIGN.md §15).
+  net-policy           The gateway (src/net/) carries requests; it does not
+                       decide how they run. It may not name the snapshot
+                       pin, SafeTime, the read-path eligibility predicates,
+                       the kReadOnlyRetry test, or the Executor's writer
+                       lock and its rank (DESIGN.md §12).
 
 A finding can be waived at the site with a comment on the same or the
 preceding line:
@@ -106,10 +111,20 @@ GUARD_RE = re.compile(
 # breaks the argument even if today's call graph happens not to.
 TIER_FILES_RE = re.compile(r"src/storage/tier/[^/]+\.(?:h|cc)$")
 TIER_RANK_RE = re.compile(
-    r"\bLockRank::k(?:NetConnTable|NetConnection|NetExecutor|"
+    r"\bLockRank::k(?:NetConnTable|NetConnection|ExecutorWriter|"
     r"ExecutorSessions|OpalGlobals)\b"
 )
 TIER_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"((?:net|executor|opal)/[^"]*)"')
+
+# -- net-policy --------------------------------------------------------------
+# Executor::RunRequest owns the execution policy; a gateway that pins,
+# checks eligibility, catches the retry bounce or takes the writer lock
+# itself has grown a second policy beside it.
+NET_FILES_RE = re.compile(r"src/net/[^/]+\.(?:h|cc)$")
+NET_POLICY_RE = re.compile(
+    r"\b(?:SnapshotPin|SafeTime|RecordedNothing|SnapshotReadEligible|"
+    r"IsReadOnlyRetry|writer_mu_|kExecutorWriter)\b"
+)
 
 
 class Finding:
@@ -394,6 +409,24 @@ def check_tier_isolation(path, raw_lines, code_lines, findings):
                 )
 
 
+def check_net_policy(path, raw_lines, code_lines, findings):
+    if not NET_FILES_RE.search(path.replace(os.sep, "/")):
+        return
+    for i, line in enumerate(code_lines):
+        m = NET_POLICY_RE.search(line)
+        if m and not allowed("net-policy", raw_lines, i + 1):
+            findings.append(
+                Finding(
+                    path,
+                    i + 1,
+                    "net-policy",
+                    f"gateway code names '{m.group(0)}'; how a request "
+                    "runs is Executor::RunRequest's decision (DESIGN.md "
+                    "§12)",
+                )
+            )
+
+
 CHECKS = (
     check_ranked_mutex_decl,
     check_raw_mutex,
@@ -401,6 +434,7 @@ CHECKS = (
     check_read_path_retry,
     check_metric_name,
     check_tier_isolation,
+    check_net_policy,
 )
 
 

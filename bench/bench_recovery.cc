@@ -1,6 +1,6 @@
 // Recovery-path cost: StorageEngine::Open over a device with N committed
-// epochs (root scan + catalog page reads + free-map rebuild), and the
-// same with the newest epoch's catalog page corrupted so Open takes the
+// epochs (root scan + catalog page reads + track-map rebuild), and the
+// same with the newest epoch's index page corrupted so Open takes the
 // root-slot fallback. Expected shape: Open is O(catalog size), and the
 // fallback adds one failed catalog read — not a full device scan.
 
@@ -57,12 +57,16 @@ void BM_OpenWithRootFallback(benchmark::State& state) {
   const int commits = static_cast<int>(state.range(0));
   storage::SimulatedDisk disk(65536, 8192);
   Populate(&disk, commits, 16);
-  // Bit rot in the catalog page the newest epoch wrote (the last: its
+  // Bit rot in the index page the newest epoch wrote (the last: its
   // oids are the highest): every Open falls back to the older root slot.
   storage::CommitManager manager(&disk);
   auto newest = manager.RecoverRoot();
-  if (!newest.ok() || newest->pages.empty() ||
-      !disk.CorruptTrack(newest->pages.back(), 0, 0xFF).ok()) {
+  if (!newest.ok() || newest->index.empty() ||
+      !disk.CorruptTrack(newest->index.back().track,
+                         newest->index.back().slot *
+                             storage::CommitManager::kPageBytes,
+                         0xFF)
+           .ok()) {
     state.SkipWithError("setup failed");
     return;
   }

@@ -109,10 +109,10 @@ Result<Value> GenericAdd(Interpreter& interp, const Value& collection,
   } else {
     if (interp.memory().classes().IsKindOf(class_oid, kernel.set)) {
       // Set semantics: no duplicates under value equality.
-      GS_ASSIGN_OR_RETURN(auto members, CollectionMembers(interp, collection));
-      for (const Value& existing : members) {
-        if (existing == member) return member;
-      }
+      GS_ASSIGN_OR_RETURN(
+          bool present,
+          interp.session().HasNamedValue(collection.ref(), member));
+      if (present) return member;
     }
     GS_RETURN_IF_ERROR(SetAddRaw(interp, collection.ref(), member));
   }

@@ -9,36 +9,126 @@ namespace gemstone::storage {
 
 namespace {
 constexpr std::uint32_t kRootMagic = 0x47535250;  // "GSRP"
-// magic + epoch + page count + pages hash + trailing checksum.
+// magic + epoch + index page count + index hash + trailing checksum.
 constexpr std::size_t kRootFixedBytes = 4 + 8 + 4 + 8 + 8;
+// Each index page in the root: its track and its slot.
+constexpr std::size_t kRootEntryBytes = 4 + 2;
+// A frame's checksum covers its length, body and padding.
+constexpr std::size_t kPageSummedBytes =
+    CommitManager::kPageBytes - CommitManager::kPageTrailerBytes;
 
-// Binds a root to the exact page versions it names.
+// Binds a root to the exact index page versions it names.
 std::uint64_t HashPageChecksums(const std::vector<std::uint64_t>& checksums) {
   ByteWriter out;
   for (std::uint64_t c : checksums) out.PutU64(c);
   return Fnv1a(out.bytes());
 }
+
+// The page tracks a tree read caches, one at a time: pages a commit wrote
+// together sit on one track, so a tree walk mostly rereads the last one.
+class TrackCache {
+ public:
+  explicit TrackCache(const SimulatedDisk* disk) : disk_(disk) {}
+
+  // The verified body of the page at `ref`, and the checksum its frame
+  // ends in.
+  Result<std::pair<std::vector<std::uint8_t>, std::uint64_t>> ReadPage(
+      const PageRef& ref) {
+    if (!loaded_ || track_ != ref.track) {
+      loaded_ = false;
+      GS_ASSIGN_OR_RETURN(bytes_, disk_->ReadTrack(ref.track));
+      track_ = ref.track;
+      loaded_ = true;
+    }
+    const std::size_t begin =
+        static_cast<std::size_t>(ref.slot) * CommitManager::kPageBytes;
+    if (begin + CommitManager::kPageBytes > bytes_.size()) {
+      return Status::Corruption("catalog page slot beyond its track");
+    }
+    const auto frame = std::span<const std::uint8_t>(bytes_).subspan(
+        begin, CommitManager::kPageBytes);
+    ByteReader trailer(frame.subspan(kPageSummedBytes));
+    GS_ASSIGN_OR_RETURN(std::uint64_t stored, trailer.GetU64());
+    if (Fnv1a(frame.first(kPageSummedBytes)) != stored) {
+      return Status::Corruption("catalog page checksum mismatch");
+    }
+    ByteReader in(frame);
+    GS_ASSIGN_OR_RETURN(std::uint16_t len, in.GetU16());
+    if (len > CommitManager::kPageBodyBytes) {
+      return Status::Corruption("catalog page body overruns its frame");
+    }
+    const auto body = frame.subspan(2, len);
+    return std::make_pair(std::vector<std::uint8_t>(body.begin(), body.end()),
+                          stored);
+  }
+
+ private:
+  const SimulatedDisk* disk_;
+  bool loaded_ = false;
+  TrackId track_ = 0;
+  std::vector<std::uint8_t> bytes_;
+};
 }  // namespace
 
-std::size_t CommitManager::RootBytes(std::size_t pages) {
-  return kRootFixedBytes + pages * sizeof(TrackId);
+std::size_t CommitManager::RootBytes(std::size_t index_pages) {
+  return kRootFixedBytes + index_pages * kRootEntryBytes;
 }
 
-std::uint64_t CommitManager::SealPage(std::vector<std::uint8_t>* body) {
-  const std::uint64_t checksum = Fnv1a(*body);
+std::size_t CommitManager::max_index_pages() const {
+  return disk_->track_capacity() < kRootFixedBytes
+             ? 0
+             : (disk_->track_capacity() - kRootFixedBytes) / kRootEntryBytes;
+}
+
+std::size_t CommitManager::pages_per_track() const {
+  // Slots are u16.
+  return std::min<std::size_t>(disk_->track_capacity() / kPageBytes,
+                               std::size_t{1} << 16);
+}
+
+std::vector<std::uint8_t> CommitManager::EncodeIndexPage(
+    std::span<const PageRef> leaves) {
+  ByteWriter out;
+  for (const PageRef& leaf : leaves) {
+    out.PutU32(leaf.track);
+    out.PutU16(leaf.slot);
+    out.PutU64(leaf.checksum);
+  }
+  return out.Take();
+}
+
+PageRef CommitManager::PageTrackWriter::Add(
+    std::span<const std::uint8_t> body) {
+  const std::size_t slot = pages_++ % pages_per_track_;
+  if (slot == 0) {
+    writes_.emplace_back(tracks_[writes_.size()], std::vector<std::uint8_t>());
+  }
+  std::vector<std::uint8_t>& image = writes_.back().second;
+  const std::size_t begin = image.size();
+  ByteWriter head;
+  head.PutU16(static_cast<std::uint16_t>(body.size()));
+  image.insert(image.end(), head.bytes().begin(), head.bytes().end());
+  image.insert(image.end(), body.begin(), body.end());
+  image.resize(begin + kPageSummedBytes, 0);
+  const std::uint64_t checksum = Fnv1a(
+      std::span<const std::uint8_t>(image).subspan(begin, kPageSummedBytes));
   ByteWriter trailer;
   trailer.PutU64(checksum);
-  body->insert(body->end(), trailer.bytes().begin(), trailer.bytes().end());
-  return checksum;
+  image.insert(image.end(), trailer.bytes().begin(), trailer.bytes().end());
+  return PageRef{writes_.back().first, static_cast<std::uint16_t>(slot),
+                 checksum};
 }
 
 Status CommitManager::WriteRoot(const RootState& root) {
   ByteWriter out;
   out.PutU32(kRootMagic);
   out.PutU64(root.epoch);
-  out.PutU32(static_cast<std::uint32_t>(root.pages.size()));
-  out.PutU64(root.pages_hash);
-  for (TrackId t : root.pages) out.PutU32(t);
+  out.PutU32(static_cast<std::uint32_t>(root.index.size()));
+  out.PutU64(root.index_hash);
+  for (const PageRef& page : root.index) {
+    out.PutU32(page.track);
+    out.PutU16(page.slot);
+  }
   const std::uint64_t checksum = Fnv1a(out.bytes());
   out.PutU64(checksum);
   const TrackId slot =
@@ -47,13 +137,16 @@ Status CommitManager::WriteRoot(const RootState& root) {
 }
 
 Status CommitManager::Format() {
+  if (pages_per_track() == 0) {
+    return Status::InvalidArgument("a track cannot hold a catalog page");
+  }
   // Both slots receive a valid empty root. Slot B (epoch 1) is written
   // last, so recovery — which prefers the highest epoch — starts from an
   // empty catalog at epoch 1 and the first commit flips epoch 2 into
   // slot A, preserving the even/odd slot alternation.
   RootState empty;
   empty.epoch = 0;
-  empty.pages_hash = HashPageChecksums({});
+  empty.index_hash = HashPageChecksums({});
   GS_RETURN_IF_ERROR(WriteRoot(empty));
   RootState second = empty;
   second.epoch = 1;
@@ -87,15 +180,18 @@ std::vector<RootState> CommitManager::RecoverRootCandidates() const {
     if (!magic.ok() || magic.value() != kRootMagic) continue;
     RootState root;
     auto epoch = in.GetU64();
-    auto npages = in.GetU32();
+    auto count = in.GetU32();
     auto hash = in.GetU64();
-    if (!epoch.ok() || !npages.ok() || !hash.ok()) continue;
-    if (in.remaining() != npages.value() * sizeof(TrackId)) continue;
+    if (!epoch.ok() || !count.ok() || !hash.ok()) continue;
+    if (in.remaining() != count.value() * kRootEntryBytes) continue;
     root.epoch = epoch.value();
-    root.pages_hash = hash.value();
-    root.pages.reserve(npages.value());
-    for (std::uint32_t i = 0; i < npages.value(); ++i) {
-      root.pages.push_back(in.GetU32().value());
+    root.index_hash = hash.value();
+    root.index.reserve(count.value());
+    for (std::uint32_t i = 0; i < count.value(); ++i) {
+      PageRef page;
+      page.track = in.GetU32().value();
+      page.slot = in.GetU16().value();
+      root.index.push_back(page);
     }
     candidates.push_back(std::move(root));
   }
@@ -107,18 +203,18 @@ std::vector<RootState> CommitManager::RecoverRootCandidates() const {
 }
 
 Status CommitManager::CommitGroup(const TrackWrites& data_tracks,
-                                  const TrackWrites& page_writes,
-                                  const std::vector<PageRef>& pages,
+                                  const TrackWrites& page_tracks,
+                                  const std::vector<PageRef>& index,
                                   std::uint64_t next_epoch) {
   // Validate before any track is written: a doomed commit performs zero
   // I/O, so nothing needs undoing.
-  for (const auto& [track, image] : page_writes) {
+  for (const auto& [track, image] : page_tracks) {
     if (image.size() > disk_->track_capacity()) {
-      return Status::InvalidArgument("catalog page exceeds a track");
+      return Status::InvalidArgument("catalog page track exceeds a track");
     }
   }
-  if (RootBytes(pages.size()) > disk_->track_capacity()) {
-    return Status::InvalidArgument("catalog page list does not fit the root");
+  if (index.size() > max_index_pages()) {
+    return Status::InvalidArgument("catalog index list does not fit the root");
   }
   {
     TELEM_SPAN("commit.write_group");
@@ -127,8 +223,8 @@ Status CommitManager::CommitGroup(const TrackWrites& data_tracks,
     for (const auto& [track, bytes] : data_tracks) {
       GS_RETURN_IF_ERROR(disk_->WriteTrack(track, bytes));
     }
-    // Phase 2: the changed catalog pages, each onto a fresh track.
-    for (const auto& [track, image] : page_writes) {
+    // Phase 2: the rewritten catalog pages, on fresh page tracks.
+    for (const auto& [track, image] : page_tracks) {
       GS_RETURN_IF_ERROR(disk_->WriteTrack(track, image));
     }
   }
@@ -137,41 +233,47 @@ Status CommitManager::CommitGroup(const TrackWrites& data_tracks,
   RootState root;
   root.epoch = next_epoch;
   std::vector<std::uint64_t> checksums;
-  checksums.reserve(pages.size());
-  root.pages.reserve(pages.size());
-  for (const PageRef& page : pages) {
-    root.pages.push_back(page.track);
-    checksums.push_back(page.checksum);
-  }
-  root.pages_hash = HashPageChecksums(checksums);
+  checksums.reserve(index.size());
+  for (const PageRef& page : index) checksums.push_back(page.checksum);
+  root.index = index;
+  root.index_hash = HashPageChecksums(checksums);
   return WriteRoot(root);
 }
 
-Result<std::vector<PageImage>> CommitManager::ReadPages(
-    const RootState& root) const {
-  std::vector<PageImage> pages;
-  pages.reserve(root.pages.size());
+Result<PageTree> CommitManager::ReadTree(const RootState& root) const {
+  TrackCache cache(disk_);
+  PageTree tree;
+  tree.index.reserve(root.index.size());
+  std::vector<std::vector<std::uint8_t>> bodies;
   std::vector<std::uint64_t> checksums;
-  checksums.reserve(root.pages.size());
-  for (TrackId t : root.pages) {
-    GS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> image, disk_->ReadTrack(t));
-    if (image.size() < kPageTrailerBytes) {
-      return Status::Corruption("catalog page shorter than its trailer");
+  for (PageRef ref : root.index) {
+    GS_ASSIGN_OR_RETURN(auto page, cache.ReadPage(ref));
+    if (page.first.empty() || page.first.size() % kIndexRefBytes != 0) {
+      return Status::Corruption("malformed catalog index page");
     }
-    const std::size_t body_len = image.size() - kPageTrailerBytes;
-    ByteReader trailer(std::span<const std::uint8_t>(image).subspan(body_len));
-    GS_ASSIGN_OR_RETURN(std::uint64_t stored, trailer.GetU64());
-    image.resize(body_len);
-    if (Fnv1a(image) != stored) {
-      return Status::Corruption("catalog page checksum mismatch");
+    ref.checksum = page.second;
+    checksums.push_back(ref.checksum);
+    tree.index.push_back(IndexPage{page.first.size() / kIndexRefBytes, ref});
+    bodies.push_back(std::move(page.first));
+  }
+  if (HashPageChecksums(checksums) != root.index_hash) {
+    return Status::Corruption("catalog index pages do not match the root");
+  }
+  for (const std::vector<std::uint8_t>& body : bodies) {
+    ByteReader in(body);
+    while (in.remaining() != 0) {
+      PageRef leaf;
+      GS_ASSIGN_OR_RETURN(leaf.track, in.GetU32());
+      GS_ASSIGN_OR_RETURN(leaf.slot, in.GetU16());
+      GS_ASSIGN_OR_RETURN(leaf.checksum, in.GetU64());
+      GS_ASSIGN_OR_RETURN(auto page, cache.ReadPage(leaf));
+      if (page.second != leaf.checksum) {
+        return Status::Corruption("catalog leaf does not match its index page");
+      }
+      tree.leaves.push_back(PageImage{leaf, std::move(page.first)});
     }
-    checksums.push_back(stored);
-    pages.push_back(PageImage{PageRef{t, stored}, std::move(image)});
   }
-  if (HashPageChecksums(checksums) != root.pages_hash) {
-    return Status::Corruption("catalog pages do not match the root");
-  }
-  return pages;
+  return tree;
 }
 
 }  // namespace gemstone::storage

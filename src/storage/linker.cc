@@ -7,6 +7,49 @@
 
 namespace gemstone::storage {
 
+namespace {
+
+// The one re-cut routine both levels share. Cuts `n` items into pages
+// greedily: a page takes items until the next would carry it past
+// `capacity` bytes or `opens(i)` says item i must open a page of its own,
+// so each page fills before the next begins. Answers how many items each
+// page takes (n >= 1).
+template <typename Bytes, typename Opens>
+std::vector<std::size_t> GreedyCut(std::size_t n, std::size_t header,
+                                   std::size_t capacity, Bytes bytes,
+                                   Opens opens) {
+  std::vector<std::size_t> cut;
+  std::size_t used = header;
+  std::size_t taken = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t b = bytes(i);
+    if (taken != 0 && (used + b > capacity || opens(i))) {
+      cut.push_back(taken);
+      taken = 0;
+      used = header;
+    }
+    used += b;
+    ++taken;
+  }
+  cut.push_back(taken);
+  return cut;
+}
+
+// Replaces the pages each splice names, back to front, so each splice's
+// indexes still name the pages it saw.
+template <typename Page>
+void ApplySplices(std::vector<Page>* pages, std::vector<Splice<Page>> splices) {
+  for (auto it = splices.rbegin(); it != splices.rend(); ++it) {
+    const auto begin = pages->begin() + static_cast<std::ptrdiff_t>(it->first);
+    pages->insert(pages->erase(begin,
+                               begin + static_cast<std::ptrdiff_t>(it->count)),
+                  std::make_move_iterator(it->pages.begin()),
+                  std::make_move_iterator(it->pages.end()));
+  }
+}
+
+}  // namespace
+
 std::size_t Catalog::PageFor(Oid oid) const {
   auto it = std::upper_bound(
       pages_.begin(), pages_.end(), oid.raw,
@@ -42,10 +85,11 @@ std::vector<std::uint8_t> Catalog::EncodePage(const CatalogPage& page) {
   return out.Take();
 }
 
-Result<Catalog> Catalog::Decode(const std::vector<PageImage>& images) {
+Result<Catalog> Catalog::Decode(const PageTree& tree) {
   Catalog catalog;
-  catalog.pages_.reserve(images.size());
-  for (const PageImage& image : images) {
+  catalog.index_ = tree.index;
+  catalog.pages_.reserve(tree.leaves.size());
+  for (const PageImage& image : tree.leaves) {
     CatalogPage page;
     page.ref = image.ref;
     ByteReader in(image.body);
@@ -80,37 +124,21 @@ Result<Catalog> Catalog::Decode(const std::vector<PageImage>& images) {
   return catalog;
 }
 
-std::vector<PageRef> Catalog::RefsAfter(
-    const std::vector<PageSplice>& splices) const {
-  std::vector<PageRef> refs;
-  std::size_t next = 0;
-  for (const PageSplice& splice : splices) {
-    for (; next < splice.first; ++next) refs.push_back(pages_[next].ref);
-    for (const CatalogPage& page : splice.pages) refs.push_back(page.ref);
-    next = splice.first + splice.count;
+void Catalog::Apply(std::vector<LeafSplice> leaves,
+                    std::vector<IndexSplice> index) {
+  for (const LeafSplice& splice : leaves) {
+    for (std::size_t p = splice.first; p < splice.first + splice.count; ++p) {
+      size_ -= pages_[p].entries.size();
+    }
+    for (const CatalogPage& page : splice.pages) size_ += page.entries.size();
   }
-  for (; next < pages_.size(); ++next) refs.push_back(pages_[next].ref);
-  return refs;
-}
-
-void Catalog::Apply(std::vector<PageSplice> splices) {
-  // Back to front, so each splice's indexes still name the pages it saw.
-  for (auto it = splices.rbegin(); it != splices.rend(); ++it) {
-    const auto begin =
-        pages_.begin() + static_cast<std::ptrdiff_t>(it->first);
-    const auto end = begin + static_cast<std::ptrdiff_t>(it->count);
-    for (auto page = begin; page != end; ++page) size_ -= page->entries.size();
-    for (const CatalogPage& page : it->pages) size_ += page.entries.size();
-    pages_.insert(pages_.erase(begin, end),
-                  std::make_move_iterator(it->pages.begin()),
-                  std::make_move_iterator(it->pages.end()));
-  }
+  ApplySplices(&pages_, std::move(leaves));
+  ApplySplices(&index_, std::move(index));
 }
 
 Linker::LinkResult Linker::Link(
     const Catalog& current,
-    const std::vector<std::pair<Oid, Extent>>& changed,
-    std::size_t page_capacity) {
+    const std::vector<std::pair<Oid, Extent>>& changed) {
   LinkResult result;
   // The changes in oid order; stable, so a repeated oid's last extent wins.
   std::vector<const std::pair<Oid, Extent>*> order;
@@ -123,7 +151,7 @@ Linker::LinkResult Linker::Link(
   const std::vector<CatalogPage>& pages = current.pages();
   std::size_t i = 0;
   while (i < order.size()) {
-    // One run of consecutive dirty pages, [first, last], and its changes,
+    // One run of consecutive dirty leaves, [first, last], and its changes,
     // [i, j).
     const std::size_t first = current.PageFor(order[i]->first);
     std::size_t last = first;
@@ -133,7 +161,7 @@ Linker::LinkResult Linker::Link(
       if (page > last + 1) break;
       last = page;
     }
-    PageSplice splice;
+    LeafSplice splice;
     splice.first = first;
     splice.count = pages.empty() ? 0 : last + 1 - first;
 
@@ -164,23 +192,74 @@ Linker::LinkResult Linker::Link(
     }
     while (i < j) take_change();
 
-    // Greedy cut: each page fills its track before the next begins.
-    CatalogPage page;
-    std::size_t page_bytes = Catalog::kPageHeaderBytes;
-    for (auto& entry : merged) {
-      const std::size_t bytes = Catalog::EntryBytes(entry.second);
-      if (!page.entries.empty() &&
-          (page_bytes + bytes > page_capacity ||
-           entry.first - page.entries.back().first > UINT32_MAX)) {
-        splice.pages.push_back(std::move(page));
-        page = CatalogPage();
-        page_bytes = Catalog::kPageHeaderBytes;
-      }
-      page_bytes += bytes;
-      page.entries.push_back(std::move(entry));
+    auto next = std::make_move_iterator(merged.begin());
+    for (std::size_t take : GreedyCut(
+             merged.size(), Catalog::kPageHeaderBytes,
+             CommitManager::kPageBodyBytes,
+             [&](std::size_t e) {
+               return Catalog::EntryBytes(merged[e].second);
+             },
+             [&](std::size_t e) {
+               return e != 0 &&
+                      merged[e].first - merged[e - 1].first > UINT32_MAX;
+             })) {
+      CatalogPage page;
+      page.entries.assign(next, next + static_cast<std::ptrdiff_t>(take));
+      next += static_cast<std::ptrdiff_t>(take);
+      splice.pages.push_back(std::move(page));
     }
-    splice.pages.push_back(std::move(page));
-    result.splices.push_back(std::move(splice));
+    result.leaves.push_back(std::move(splice));
+  }
+
+  // The index level: every index page over a dirty leaf is dirty, and a
+  // run of consecutive dirty index pages is re-cut over the leaves it
+  // names once the leaf splices apply.
+  const std::vector<IndexPage>& index = current.index();
+  std::vector<std::size_t> starts(index.size() + 1, 0);  // first leaf of each
+  for (std::size_t k = 0; k < index.size(); ++k) {
+    starts[k + 1] = starts[k] + index[k].leaves;
+  }
+  auto index_of = [&](std::size_t leaf) {
+    return static_cast<std::size_t>(
+        std::upper_bound(starts.begin() + 1, starts.end() - 1, leaf) -
+        starts.begin() - 1);
+  };
+  std::ptrdiff_t grown = 0;  // leaves the runs so far added
+  for (std::size_t s = 0; s < result.leaves.size();) {
+    // An empty catalog has one leaf splice, and one index splice at 0.
+    IndexSplice splice;
+    std::ptrdiff_t run_grown = 0;
+    std::size_t last = 0;
+    if (!index.empty()) splice.first = last = index_of(result.leaves[s].first);
+    for (; s < result.leaves.size(); ++s) {
+      const LeafSplice& leaf = result.leaves[s];
+      if (!index.empty()) {
+        if (index_of(leaf.first) > last + 1) break;
+        last = std::max(last, index_of(leaf.first + leaf.count - 1));
+      }
+      run_grown += static_cast<std::ptrdiff_t>(leaf.pages.size()) -
+                   static_cast<std::ptrdiff_t>(leaf.count);
+    }
+    if (!index.empty()) {
+      splice.count = last + 1 - splice.first;
+      for (std::size_t k = splice.first; k <= last; ++k) {
+        result.superseded_pages.push_back(index[k].ref.track);
+      }
+    }
+    const std::size_t leaves = static_cast<std::size_t>(
+        static_cast<std::ptrdiff_t>(starts[splice.first + splice.count] -
+                                    starts[splice.first]) +
+        run_grown);
+    result.index_first_leaf.push_back(static_cast<std::size_t>(
+        static_cast<std::ptrdiff_t>(starts[splice.first]) + grown));
+    for (std::size_t take :
+         GreedyCut(leaves, 0, CommitManager::kPageBodyBytes,
+                   [](std::size_t) { return CommitManager::kIndexRefBytes; },
+                   [](std::size_t) { return false; })) {
+      splice.pages.push_back(IndexPage{take, PageRef()});
+    }
+    grown += run_grown;
+    result.index.push_back(std::move(splice));
   }
   return result;
 }

@@ -20,6 +20,10 @@ enum class WireTag : std::uint8_t {
 };
 }  // namespace
 
+void ByteWriter::PutU16(std::uint16_t v) {
+  for (int i = 0; i < 2; ++i) buf_.push_back((v >> (8 * i)) & 0xFF);
+}
+
 void ByteWriter::PutU32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xFF);
 }
@@ -44,6 +48,13 @@ void ByteWriter::PutBytes(std::span<const std::uint8_t> bytes) {
 Result<std::uint8_t> ByteReader::GetU8() {
   if (remaining() < 1) return Status::Corruption("truncated u8");
   return bytes_[pos_++];
+}
+
+Result<std::uint16_t> ByteReader::GetU16() {
+  if (remaining() < 2) return Status::Corruption("truncated u16");
+  std::uint16_t v = bytes_[pos_++];
+  v = static_cast<std::uint16_t>(v | (bytes_[pos_++] << 8));
+  return v;
 }
 
 Result<std::uint32_t> ByteReader::GetU32() {

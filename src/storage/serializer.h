@@ -17,6 +17,7 @@ namespace gemstone::storage {
 class ByteWriter {
  public:
   void PutU8(std::uint8_t v) { buf_.push_back(v); }
+  void PutU16(std::uint16_t v);
   void PutU32(std::uint32_t v);
   void PutU64(std::uint64_t v);
   void PutI64(std::int64_t v) { PutU64(static_cast<std::uint64_t>(v)); }
@@ -39,6 +40,7 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   Result<std::uint8_t> GetU8();
+  Result<std::uint16_t> GetU16();
   Result<std::uint32_t> GetU32();
   Result<std::uint64_t> GetU64();
   Result<std::int64_t> GetI64();

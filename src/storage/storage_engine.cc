@@ -1,6 +1,7 @@
 #include "storage/storage_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "storage/serializer.h"
@@ -40,6 +41,42 @@ Status StorageEngine::Format() {
   return Open();
 }
 
+void TrackMap::Reset(TrackId tracks) {
+  used_.assign((tracks + 63) / 64, 0);
+  // Bits past the last track read as used, so a scan never yields them.
+  if (tracks % 64 != 0) used_.back() = ~std::uint64_t{0} << (tracks % 64);
+  free_ = tracks;
+  cursor_ = 0;
+}
+
+void TrackMap::MarkUsed(TrackId track) {
+  std::uint64_t& word = used_[track / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (track % 64);
+  if ((word & bit) != 0) return;
+  word |= bit;
+  --free_;
+}
+
+void TrackMap::Free(TrackId track) {
+  std::uint64_t& word = used_[track / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (track % 64);
+  if ((word & bit) == 0) return;
+  word &= ~bit;
+  ++free_;
+  cursor_ = std::min(cursor_, track);
+}
+
+TrackId TrackMap::TakeLowest() {
+  std::size_t w = cursor_ / 64;
+  while (used_[w] == ~std::uint64_t{0}) ++w;
+  const TrackId track = static_cast<TrackId>(
+      w * 64 + static_cast<std::size_t>(std::countr_one(used_[w])));
+  used_[w] |= std::uint64_t{1} << (track % 64);
+  --free_;
+  cursor_ = track + 1;
+  return track;
+}
+
 Status StorageEngine::Open() {
   const std::vector<RootState> candidates =
       commit_manager_.RecoverRootCandidates();
@@ -55,9 +92,9 @@ Status StorageEngine::Open() {
   const RootState* adopted = nullptr;
   Status last_error = Status::OK();
   for (const RootState& root : candidates) {
-    auto pages = commit_manager_.ReadPages(root);
-    auto parsed = pages.ok() ? Catalog::Decode(pages.value())
-                             : Result<Catalog>(pages.status());
+    auto tree = commit_manager_.ReadTree(root);
+    auto parsed = tree.ok() ? Catalog::Decode(tree.value())
+                            : Result<Catalog>(tree.status());
     if (!parsed.ok()) {
       recovery_fallbacks_.Increment();
       telemetry::FlightRecorder::Global().Record(
@@ -73,62 +110,61 @@ Status StorageEngine::Open() {
   if (adopted == nullptr) {
     return last_error;
   }
-  catalog_ = std::move(catalog);
-  epoch_ = adopted->epoch;
-
-  std::set<TrackId> used = {CommitManager::kRootSlotA,
-                            CommitManager::kRootSlotB};
-  track_refs_.clear();
-  for (const CatalogPage& page : catalog_.pages()) {
-    used.insert(page.ref.track);
+  // Every track the catalog's pages and extents name is in use, once per
+  // page or extent on it.
+  std::unordered_map<TrackId, std::uint32_t> refs;
+  for (const IndexPage& page : catalog.index()) ++refs[page.ref.track];
+  for (const CatalogPage& page : catalog.pages()) {
+    ++refs[page.ref.track];
     for (const auto& [oid, extent] : page.entries) {
-      for (TrackId t : extent.tracks) {
-        used.insert(t);
-        ++track_refs_[t];
-      }
+      for (TrackId t : extent.tracks) ++refs[t];
     }
   }
-  free_tracks_.clear();
-  for (TrackId t = 0; t < disk_->num_tracks(); ++t) {
-    if (used.count(t) == 0) free_tracks_.insert(t);
+  tracks_.Reset(disk_->num_tracks());
+  tracks_.MarkUsed(CommitManager::kRootSlotA);
+  tracks_.MarkUsed(CommitManager::kRootSlotB);
+  for (const auto& [track, count] : refs) {
+    if (track >= disk_->num_tracks()) {
+      return Status::Corruption("catalog names a track beyond the device");
+    }
+    tracks_.MarkUsed(track);
   }
+  catalog_ = std::move(catalog);
+  track_refs_ = std::move(refs);
+  epoch_ = adopted->epoch;
   open_ = true;
-  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_tracks_.size()));
+  free_tracks_gauge_.Set(static_cast<std::int64_t>(tracks_.free_count()));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
   return Status::OK();
 }
 
 Result<std::vector<TrackId>> StorageEngine::Allocate(std::size_t n) {
-  if (free_tracks_.size() < n) {
+  if (tracks_.free_count() < n) {
     return Status::IoError("device full: need " + std::to_string(n) +
                            " tracks, have " +
-                           std::to_string(free_tracks_.size()));
+                           std::to_string(tracks_.free_count()));
   }
   std::vector<TrackId> out;
   out.reserve(n);
-  auto it = free_tracks_.begin();
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(*it);
-    it = free_tracks_.erase(it);
-  }
+  for (std::size_t i = 0; i < n; ++i) out.push_back(tracks_.TakeLowest());
   return out;
 }
 
 void StorageEngine::Release(const std::vector<TrackId>& tracks) {
-  for (TrackId t : tracks) free_tracks_.insert(t);
+  for (TrackId t : tracks) tracks_.Free(t);
 }
 
-void StorageEngine::AddExtentRefs(const std::vector<TrackId>& tracks) {
+void StorageEngine::AddRefs(const std::vector<TrackId>& tracks) {
   for (TrackId t : tracks) ++track_refs_[t];
 }
 
-void StorageEngine::DropExtentRefs(const std::vector<TrackId>& tracks) {
+void StorageEngine::DropRefs(const std::vector<TrackId>& tracks) {
   for (TrackId t : tracks) {
     auto it = track_refs_.find(t);
     if (it == track_refs_.end()) continue;
     if (--it->second == 0) {
       track_refs_.erase(it);
-      free_tracks_.insert(t);
+      tracks_.Free(t);
     }
   }
 }
@@ -155,7 +191,7 @@ Status StorageEngine::CommitObjects(
   GS_ASSIGN_OR_RETURN(std::vector<TrackId> data_tracks,
                       Allocate(boxing.payloads.size()));
   // 4. Build the changed-extent list and link the next versions of the
-  // pages it touches.
+  // leaves it touches and of the index pages over them.
   Linker::LinkResult linked;
   std::vector<std::pair<Oid, Extent>> changed;
   {
@@ -168,22 +204,50 @@ Status StorageEngine::CommitObjects(
       for (std::size_t payload_index : boxing.placements[i]) {
         extent.tracks.push_back(data_tracks[payload_index]);
       }
+      if (Catalog::kPageHeaderBytes + Catalog::EntryBytes(extent) >
+          CommitManager::kPageBodyBytes) {
+        Release(data_tracks);
+        return Status::InvalidArgument("catalog entry exceeds a page");
+      }
       changed.emplace_back(oids[i], std::move(extent));
     }
-    linked = Linker::Link(catalog_, changed, commit_manager_.page_capacity());
+    linked = Linker::Link(catalog_, changed);
   }
-  std::size_t page_count = 0;
-  for (const PageSplice& splice : linked.splices) {
-    page_count += splice.pages.size();
-  }
-  auto page_alloc = Allocate(page_count);
+  std::size_t new_pages = 0;
+  for (const auto& splice : linked.leaves) new_pages += splice.pages.size();
+  for (const auto& splice : linked.index) new_pages += splice.pages.size();
+  auto page_alloc = Allocate(commit_manager_.PageTracksFor(new_pages));
   if (!page_alloc.ok()) {
     Release(data_tracks);
     return page_alloc.status();
   }
   const std::vector<TrackId> page_tracks = std::move(page_alloc).value();
 
-  // 5. Safe group write: the data, the changed pages, the root flip.
+  // 5. Lay the rewritten leaves, then the index pages naming them, onto
+  // the page tracks.
+  CommitManager::PageTrackWriter pages(page_tracks,
+                                       commit_manager_.pages_per_track());
+  std::vector<TrackId> written_pages;  // each new page's track
+  for (LeafSplice& splice : linked.leaves) {
+    for (CatalogPage& page : splice.pages) {
+      page.ref = pages.Add(Catalog::EncodePage(page));
+      written_pages.push_back(page.ref.track);
+    }
+  }
+  const std::vector<PageRef> leaf_refs =
+      RefsAfter(catalog_.pages(), linked.leaves);
+  for (std::size_t s = 0; s < linked.index.size(); ++s) {
+    std::size_t leaf = linked.index_first_leaf[s];
+    for (IndexPage& page : linked.index[s].pages) {
+      page.ref = pages.Add(CommitManager::EncodeIndexPage(
+          std::span<const PageRef>(leaf_refs).subspan(leaf, page.leaves)));
+      written_pages.push_back(page.ref.track);
+      leaf += page.leaves;
+    }
+  }
+  const std::vector<PageRef> index = RefsAfter(catalog_.index(), linked.index);
+
+  // 6. Safe group write: the data, the page tracks, the root flip.
   std::uint64_t bytes_written = 0;
   TrackWrites group;
   group.reserve(boxing.payloads.size());
@@ -191,41 +255,32 @@ Status StorageEngine::CommitObjects(
     bytes_written += boxing.payloads[i].bytes.size();
     group.emplace_back(data_tracks[i], std::move(boxing.payloads[i].bytes));
   }
-  TrackWrites page_writes;
-  page_writes.reserve(page_count);
-  for (PageSplice& splice : linked.splices) {
-    for (CatalogPage& page : splice.pages) {
-      std::vector<std::uint8_t> image = Catalog::EncodePage(page);
-      page.ref.track = page_tracks[page_writes.size()];
-      page.ref.checksum = CommitManager::SealPage(&image);
-      bytes_written += image.size();
-      page_writes.emplace_back(page.ref.track, std::move(image));
-    }
-  }
-  const std::vector<PageRef> pages = catalog_.RefsAfter(linked.splices);
-  bytes_written += CommitManager::RootBytes(pages.size());
+  const TrackWrites page_writes = pages.Take();
+  for (const auto& [track, image] : page_writes) bytes_written += image.size();
+  bytes_written += CommitManager::RootBytes(index.size());
   Status commit_status =
-      commit_manager_.CommitGroup(group, page_writes, pages, epoch_ + 1);
+      commit_manager_.CommitGroup(group, page_writes, index, epoch_ + 1);
   if (!commit_status.ok()) {
     Release(data_tracks);
     Release(page_tracks);
     return commit_status;
   }
 
-  // 6. The group is durable: adopt the new pages and recycle superseded
-  // track versions (object history lives inside the new images). Shared
-  // tracks free only when their last referencing extent is superseded.
+  // 7. The group is durable: adopt the new pages and recycle superseded
+  // track versions (object history lives inside the new images). A shared
+  // track frees only when its last extent or page is superseded.
   for (const auto& [oid, extent] : changed) {
-    AddExtentRefs(extent.tracks);
+    AddRefs(extent.tracks);
   }
-  DropExtentRefs(linked.superseded_tracks);
-  Release(linked.superseded_pages);
-  catalog_.Apply(std::move(linked.splices));
+  AddRefs(written_pages);
+  DropRefs(linked.superseded_tracks);
+  DropRefs(linked.superseded_pages);
+  catalog_.Apply(std::move(linked.leaves), std::move(linked.index));
   ++epoch_;
   commits_.Increment();
   objects_written_.Increment(objects.size());
   bytes_written_.Increment(bytes_written);
-  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_tracks_.size()));
+  free_tracks_gauge_.Set(static_cast<std::int64_t>(tracks_.free_count()));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
   return Status::OK();
 }

@@ -2,7 +2,6 @@
 #define GEMSTONE_STORAGE_STORAGE_ENGINE_H_
 
 #include <cstdint>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -26,15 +25,37 @@ struct EngineStats {
   std::uint64_t recovery_fallbacks = 0;  // roots abandoned during Open
 };
 
+/// Which tracks of a device are in use: one bit per track and a cursor
+/// below which every track is in use, so taking the lowest free tracks —
+/// which keeps a commit's tracks adjacent — scans from the cursor, and
+/// rebuilding the map costs O(catalog), not a node per free track.
+class TrackMap {
+ public:
+  /// Every track of a `tracks`-track device free.
+  void Reset(TrackId tracks);
+  void MarkUsed(TrackId track);
+  void Free(TrackId track);
+  /// The lowest free track, now in use. Requires free_count() > 0.
+  TrackId TakeLowest();
+  std::size_t free_count() const { return free_; }
+
+ private:
+  std::vector<std::uint64_t> used_;  // bit t % 64 of word t / 64
+  std::size_t free_ = 0;
+  TrackId cursor_ = 0;
+};
+
 /// The secondary-storage face of the Object Manager: orchestrates the
 /// Boxer, Linker and Commit Manager over a track-granular device (§6).
 ///
 /// Each commit shadows changed objects into fresh tracks, links them into
-/// new versions of the catalog pages that hold their oids, and flips the
-/// root atomically; unchanged pages stay shared with the previous epoch. A crash between
-/// any two track writes recovers to the previous epoch (verified by the
-/// failure-injection tests). Objects boxed together in one commit land on
-/// adjacent tracks, which is what gives clustered access its locality.
+/// new versions of the catalog leaves that hold their oids and of the
+/// index pages over those leaves, packs those pages onto fresh page
+/// tracks, and flips the root atomically; unchanged pages stay shared
+/// with the previous epoch. A crash between any two track writes recovers
+/// to the previous epoch (verified by the failure-injection tests).
+/// Objects boxed together in one commit land on adjacent tracks, which is
+/// what gives clustered access its locality.
 ///
 /// Not internally synchronized: the TransactionManager serializes commits,
 /// and recovery happens before sessions start.
@@ -48,8 +69,9 @@ class StorageEngine {
   /// Recovers the newest valid root whose catalog pages all read back
   /// intact — falling back to the older root slot (and counting
   /// `engine.recovery_fallbacks`) when a page only the newest root names
-  /// fails its checksum — then rebuilds the free-track map from the
-  /// catalog's pages and extents. A bad page both roots share fails Open.
+  /// fails its checksum — then rebuilds the track map and the track
+  /// reference counts from the catalog's pages and extents, in time
+  /// linear in the catalog. A bad page both roots share fails Open.
   Status Open();
 
   bool is_open() const { return open_; }
@@ -94,16 +116,18 @@ class StorageEngine {
   /// NoteHistoricalObjectAccess.
   double HistoricalHeatOf(Oid oid) const;
 
-  std::size_t free_track_count() const { return free_tracks_.size(); }
+  std::size_t free_track_count() const { return tracks_.free_count(); }
 
  private:
   Result<std::vector<TrackId>> Allocate(std::size_t n);
   void Release(const std::vector<TrackId>& tracks);
 
-  /// Small objects cluster several extents onto one track, so a track is
-  /// reusable only when the *last* extent referencing it is superseded.
-  void AddExtentRefs(const std::vector<TrackId>& tracks);
-  void DropExtentRefs(const std::vector<TrackId>& tracks);
+  /// Small objects cluster several extents onto one data track, and a
+  /// page track holds several catalog pages, so a track is reusable only
+  /// when the *last* extent or page on it is superseded. `tracks` names a
+  /// track once per extent or page.
+  void AddRefs(const std::vector<TrackId>& tracks);
+  void DropRefs(const std::vector<TrackId>& tracks);
 
   SimulatedDisk* disk_;
   CommitManager commit_manager_;
@@ -112,7 +136,7 @@ class StorageEngine {
   bool open_ = false;
   std::uint64_t epoch_ = 0;
   Catalog catalog_;
-  std::set<TrackId> free_tracks_;
+  TrackMap tracks_;
   std::unordered_map<TrackId, std::uint32_t> track_refs_;
 
   telemetry::Counter commits_;

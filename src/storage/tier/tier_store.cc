@@ -14,6 +14,9 @@ namespace {
 
 constexpr std::uint32_t kTierCatalogMagic = 0x47535443;  // "GSTC"
 constexpr std::size_t kFenceInterval = 32;
+// A run's level catalog entry besides its track ids: id, archived flag,
+// record count, two times, two oids, byte length, checksum, track count.
+constexpr std::size_t kRunEntryBytes = 8 + 1 + 4 + 8 + 8 + 8 + 8 + 4 + 8 + 4;
 
 std::uint64_t NowNs() {
   return static_cast<std::uint64_t>(
@@ -22,8 +25,7 @@ std::uint64_t NowNs() {
           .count());
 }
 
-/// Chunks a byte stream (a run, or a level catalog's page bodies) across
-/// its allocated tracks, in order.
+/// Chunks a run's byte stream across its allocated tracks, in order.
 TrackWrites ChunkToTracks(const std::vector<std::uint8_t>& bytes,
                           const std::vector<TrackId>& tracks,
                           std::size_t capacity) {
@@ -38,13 +40,29 @@ TrackWrites ChunkToTracks(const std::vector<std::uint8_t>& bytes,
   return out;
 }
 
-/// The level catalog stream `root` names: its pages' bodies, in order.
-Result<std::vector<std::uint8_t>> ReadLevelCatalog(const CommitManager& commits,
-                                                   const RootState& root) {
-  GS_ASSIGN_OR_RETURN(std::vector<PageImage> pages, commits.ReadPages(root));
+/// Page tracks a level catalog of `bytes` takes: the stream cut into
+/// leaves, with index pages over them.
+std::size_t CatalogPageTracks(const CommitManager& commits,
+                              std::size_t bytes) {
+  constexpr std::size_t kBody = CommitManager::kPageBodyBytes;
+  constexpr std::size_t kRefs = CommitManager::kRefsPerIndexPage;
+  const std::size_t leaves = (bytes + kBody - 1) / kBody;
+  return commits.PageTracksFor(leaves + (leaves + kRefs - 1) / kRefs);
+}
+
+/// The level catalog stream `root` names: its leaves' bodies, in order.
+/// `tracks`, when given, receives the page tracks the tree lives on.
+Result<std::vector<std::uint8_t>> ReadLevelCatalog(
+    const CommitManager& commits, const RootState& root,
+    std::vector<TrackId>* tracks = nullptr) {
+  GS_ASSIGN_OR_RETURN(PageTree tree, commits.ReadTree(root));
   std::vector<std::uint8_t> bytes;
-  for (const PageImage& page : pages) {
-    bytes.insert(bytes.end(), page.body.begin(), page.body.end());
+  for (const PageImage& leaf : tree.leaves) {
+    bytes.insert(bytes.end(), leaf.body.begin(), leaf.body.end());
+    if (tracks != nullptr) tracks->push_back(leaf.ref.track);
+  }
+  if (tracks != nullptr) {
+    for (const IndexPage& page : tree.index) tracks->push_back(page.ref.track);
   }
   return bytes;
 }
@@ -121,7 +139,7 @@ Status TierStore::Format() {
   for (Level& level : levels_) {
     GS_RETURN_IF_ERROR(level.commits->Format());
     level.epoch = 1;  // Format seeds epochs 0 and 1; recovery adopts 1
-    level.catalog_pages.clear();
+    level.catalog_tracks.clear();
     level.runs.clear();
     RecomputeFreeLocked(level);
   }
@@ -148,9 +166,10 @@ Status TierStore::Open() {
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       const RootState& root = candidates[c];
       std::vector<RunState> runs;
+      std::vector<TrackId> catalog_tracks;
       std::uint64_t catalog_next_id = 1;
-      if (!root.pages.empty()) {
-        auto bytes = ReadLevelCatalog(*level.commits, root);
+      if (!root.index.empty()) {
+        auto bytes = ReadLevelCatalog(*level.commits, root, &catalog_tracks);
         if (!bytes.ok()) {
           last_error = bytes.status();
           recovery_fallbacks_.Increment();
@@ -212,7 +231,7 @@ Status TierStore::Open() {
             "tier level fell back to older root");
       }
       level.epoch = root.epoch;
-      level.catalog_pages = root.pages;
+      level.catalog_tracks = std::move(catalog_tracks);
       level.runs = std::move(runs);
       next_run_id_ = std::max(next_run_id_, catalog_next_id);
       RecomputeFreeLocked(level);
@@ -228,7 +247,7 @@ Status TierStore::Open() {
     // the fallback if the adopted slot's catalog track rots later —
     // exactly the engine's shadow-retention rule).
     for (const RootState& root : candidates) {
-      if (root.pages.empty()) continue;
+      if (root.index.empty()) continue;
       auto bytes = ReadLevelCatalog(*level.commits, root);
       if (!bytes.ok()) continue;
       std::uint64_t ignored = 0;
@@ -270,7 +289,7 @@ std::vector<TierStore::Fence> TierStore::BuildFences(
 
 void TierStore::RecomputeFreeLocked(Level& level) {
   std::unordered_set<TrackId> used;
-  for (TrackId t : level.catalog_pages) used.insert(t);
+  for (TrackId t : level.catalog_tracks) used.insert(t);
   for (const RunState& run : level.runs) {
     for (TrackId t : run.tracks) used.insert(t);
   }
@@ -361,25 +380,36 @@ Result<std::vector<TierStore::RunState>> TierStore::DecodeLevelCatalog(
 Status TierStore::FlipLevelLocked(
     Level& level, std::vector<RunState> next_runs,
     const TrackWrites& data_tracks) {
-  // The level catalog is small: every flip rewrites all of its pages,
-  // the stream cut at page capacity.
+  // The level catalog is small: every flip rewrites all of it, the
+  // stream cut into leaves with index pages over them, all packed onto
+  // fresh page tracks.
   const std::vector<std::uint8_t> catalog_bytes =
       EncodeLevelCatalogLocked(next_runs);
-  const std::size_t cap = level.commits->page_capacity();
-  const std::size_t n_cat = (catalog_bytes.size() + cap - 1) / cap;
-  auto cat_tracks = AllocateLocked(level, n_cat);
+  constexpr std::size_t kBody = CommitManager::kPageBodyBytes;
+  constexpr std::size_t kRefs = CommitManager::kRefsPerIndexPage;
+  auto cat_tracks = AllocateLocked(
+      level, CatalogPageTracks(*level.commits, catalog_bytes.size()));
   if (!cat_tracks.ok()) {
     RecomputeFreeLocked(level);
     return cat_tracks.status();
   }
-  TrackWrites page_writes =
-      ChunkToTracks(catalog_bytes, cat_tracks.value(), cap);
-  std::vector<PageRef> pages;
-  for (auto& [track, image] : page_writes) {
-    pages.push_back(PageRef{track, CommitManager::SealPage(&image)});
+  CommitManager::PageTrackWriter writer(cat_tracks.value(),
+                                        level.commits->pages_per_track());
+  std::vector<PageRef> leaf_refs;
+  for (std::size_t begin = 0; begin < catalog_bytes.size(); begin += kBody) {
+    leaf_refs.push_back(writer.Add(std::span<const std::uint8_t>(
+        catalog_bytes.data() + begin,
+        std::min(kBody, catalog_bytes.size() - begin))));
   }
+  std::vector<PageRef> index;
+  for (std::size_t begin = 0; begin < leaf_refs.size(); begin += kRefs) {
+    index.push_back(writer.Add(CommitManager::EncodeIndexPage(
+        std::span<const PageRef>(leaf_refs).subspan(
+            begin, std::min(kRefs, leaf_refs.size() - begin)))));
+  }
+  const TrackWrites page_writes = writer.Take();
   const Status st = level.commits->CommitGroup(data_tracks, page_writes,
-                                               pages, level.epoch + 1);
+                                               index, level.epoch + 1);
   if (!st.ok()) {
     // Previous root still rules the device; drop the speculative
     // allocations so in-memory bookkeeping matches it again.
@@ -387,7 +417,7 @@ Status TierStore::FlipLevelLocked(
     return st;
   }
   ++level.epoch;
-  level.catalog_pages = std::move(cat_tracks).value();
+  level.catalog_tracks = std::move(cat_tracks).value();
   level.runs = std::move(next_runs);
   RecomputeFreeLocked(level);
   SyncMirrorsLocked();
@@ -416,9 +446,14 @@ Status TierStore::AppendRunLocked(const std::vector<VersionRecord>& records) {
   EncodedRun encoded = EncodeRun(id, sorted, *symbols_);
   const std::size_t n_data = (encoded.bytes.size() + cap - 1) / cap;
 
-  // One forced merge downward when L1 is too full to shadow the new run
-  // (data + a worst-case catalog rewrite).
-  if (level.free_tracks.size() < n_data + 2 && !level.runs.empty()) {
+  // One forced merge downward when L1 is too full to shadow the new run:
+  // its data, and the level catalog rewritten with one more entry.
+  const std::size_t catalog_bytes =
+      EncodeLevelCatalogLocked(level.runs).size() + kRunEntryBytes +
+      4 * n_data;
+  if (level.free_tracks.size() <
+          n_data + CatalogPageTracks(*level.commits, catalog_bytes) &&
+      !level.runs.empty()) {
     GS_RETURN_IF_ERROR(CompactLevelLocked(0, /*force=*/true));
   }
   auto data_tracks = AllocateLocked(level, n_data);

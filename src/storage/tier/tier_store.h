@@ -155,7 +155,7 @@ class TierStore {
     std::unique_ptr<SimulatedDisk> disk;
     std::unique_ptr<CommitManager> commits;
     std::uint64_t epoch = 0;
-    std::vector<TrackId> catalog_pages;
+    std::vector<TrackId> catalog_tracks;  // the level catalog's page tracks
     std::set<TrackId> free_tracks;
     std::vector<RunState> runs;
     telemetry::Histogram* read_us = nullptr;  // storage.tier.l<k>.read_us

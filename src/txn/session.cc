@@ -181,6 +181,12 @@ Result<std::vector<std::pair<SymbolId, Value>>> Session::ListNamed(
   return manager_->ListNamed(txn_.get(), oid, EffectiveTime(), skip_unbound);
 }
 
+Result<bool> Session::HasNamedValue(Oid oid, const Value& value) {
+  OwnerGuard guard(this);
+  GS_RETURN_IF_ERROR(RequireActive());
+  return manager_->HasNamedValue(txn_.get(), oid, value, EffectiveTime());
+}
+
 Result<std::vector<Association>> Session::History(Oid oid, SymbolId name) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());

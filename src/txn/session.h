@@ -111,6 +111,8 @@ class Session {
   Result<Oid> ClassOfObject(Oid oid);
   Result<std::vector<std::pair<SymbolId, Value>>> ListNamed(
       Oid oid, bool skip_unbound = true);
+  /// Set membership at the session's effective time, compared in place.
+  Result<bool> HasNamedValue(Oid oid, const Value& value);
   Result<std::vector<Association>> History(Oid oid, SymbolId name);
   /// Structural equivalence at the session's effective time (§4.2).
   Result<bool> DeepEquals(const Value& a, const Value& b);

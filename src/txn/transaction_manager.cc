@@ -556,6 +556,21 @@ Result<std::vector<std::pair<SymbolId, Value>>> TransactionManager::ListNamed(
   return NamedAtLocked(&call, *object, skip_unbound);
 }
 
+Result<bool> TransactionManager::HasNamedValue(Transaction* txn, Oid oid,
+                                               const Value& value,
+                                               TxnTime at) {
+  ReaderMutexLock lock(store_mu_);
+  ReadCall call{txn, at};
+  GS_ASSIGN_OR_RETURN(const GsObject* object, ReadableLocked(call, oid));
+  for (const NamedElement& element : object->named_elements()) {
+    GS_ASSIGN_OR_RETURN(
+        const Value* bound,
+        ElementAtLocked(&call, *object, element.name, &element.table));
+    if (bound != nullptr && !bound->IsNil() && *bound == value) return true;
+  }
+  return false;
+}
+
 Result<std::vector<Association>> TransactionManager::History(Transaction* txn,
                                                              Oid oid,
                                                              SymbolId name) {

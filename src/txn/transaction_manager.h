@@ -183,6 +183,13 @@ class TransactionManager : public storage::tier::HistorySource {
       Transaction* txn, Oid oid, TxnTime at = kTimeNow,
       bool skip_unbound = true);
 
+  /// Whether some named element of `oid` is bound at `at` to a non-nil
+  /// value equal to `value` — a Set's membership test. Reads the object
+  /// as ListNamed does, but compares each value in place and stops at the
+  /// first match instead of copying every member out.
+  Result<bool> HasNamedValue(Transaction* txn, Oid oid, const Value& value,
+                             TxnTime at = kTimeNow);
+
   /// Full history of one element (committed state only).
   Result<std::vector<Association>> History(Transaction* txn, Oid oid,
                                            SymbolId name);
@@ -233,7 +240,7 @@ class TransactionManager : public storage::tier::HistorySource {
   /// The pointer is valid until the next call on `call` (a tier answer
   /// lives in `call->tier_value`); copy before resolving again. It is a
   /// pointer, and the tier half is TierElementLocked, so this stays small
-  /// enough to inline: a set's `add:` lists every member, and a per-member
+  /// enough to inline: a set's `add:` visits every member, and a per-member
   /// Value copy or call here doubled the cost of that walk.
   Result<const Value*> ElementAtLocked(
       ReadCall* call, const GsObject& object, ElementKey key,

@@ -42,6 +42,46 @@ TEST(ExecutorTest, SessionsShareCommittedStateOnly) {
             Value::String("Acme"));
 }
 
+// `Set add:` tests membership in place: a duplicate, by identity or by
+// value, leaves the size unchanged.
+TEST(ExecutorTest, SetAddOfADuplicateLeavesTheSizeUnchanged) {
+  Executor executor;
+  SessionId session = executor.Login().ValueOrDie();
+  ASSERT_TRUE(executor
+                  .Execute(session, "S := Set new. E := Object new. "
+                                    "S add: 'a'; add: 3; add: E. 0")
+                  .ok());
+  EXPECT_EQ(executor.Execute(session, "S add: 'a'; add: 3; add: E. S size")
+                .ValueOrDie(),
+            Value::Integer(3));
+  EXPECT_EQ(executor.Execute(session, "S add: 4. S size").ValueOrDie(),
+            Value::Integer(4));
+}
+
+// Two sessions adding to one set conflict: the second to commit loses.
+// So does a duplicate add, which only reads the set: the membership test
+// joins the read set.
+TEST(ExecutorTest, ConcurrentSetAddsConflict) {
+  Executor executor;
+  SessionId alice = executor.Login().ValueOrDie();
+  ASSERT_TRUE(executor
+                  .Execute(alice, "S := Set new. S add: 1. "
+                                  "System commitTransaction")
+                  .ok());
+  SessionId bob = executor.Login().ValueOrDie();
+  SessionId carol = executor.Login().ValueOrDie();
+  ASSERT_TRUE(executor.Execute(alice, "S add: 2").ok());
+  ASSERT_TRUE(executor.Execute(bob, "S add: 3").ok());
+  ASSERT_TRUE(executor.Execute(carol, "S add: 1").ok());  // a duplicate
+  EXPECT_EQ(executor.Execute(alice, "System commitTransaction").ValueOrDie(),
+            Value::Boolean(true));
+  EXPECT_EQ(executor.Execute(bob, "System commitTransaction").ValueOrDie(),
+            Value::Boolean(false));
+  EXPECT_EQ(executor.Execute(carol, "System commitTransaction").ValueOrDie(),
+            Value::Boolean(false));
+  EXPECT_EQ(executor.Execute(bob, "S size").ValueOrDie(), Value::Integer(2));
+}
+
 TEST(ExecutorTest, ExecuteToStringRendersResults) {
   Executor executor;
   SessionId session = executor.Login().ValueOrDie();

@@ -88,10 +88,10 @@ class CrashMatrixTest : public ::testing::Test {
     return CommitTouches(touches, step, engine, symbols, model);
   }
 
-  // A multi-page catalog: commit 0 bulk-loads kPagedObjects oids (at
-  // least three 1 KiB-track pages); commit 1 updates kMiddleOid, which
-  // lies on a middle page, and appends kAppended new oids — more than a
-  // 1 KiB page holds, so the last page splits however full it was.
+  // A multi-leaf catalog: commit 0 bulk-loads kPagedObjects oids (at
+  // least three leaves); commit 1 updates kMiddleOid, which lies on a
+  // middle leaf, and appends kAppended new oids — more than a leaf holds,
+  // so the last leaf splits however full it was.
   static constexpr std::uint64_t kPagedBase = 1000;
   static constexpr std::uint64_t kPagedObjects = 110;
   static constexpr std::uint64_t kMiddleOid = kPagedBase + 50;
@@ -108,6 +108,28 @@ class CrashMatrixTest : public ::testing::Test {
       for (std::uint64_t i = 0; i < kAppended; ++i) {
         touches.push_back({kPagedBase + kPagedObjects + i, 1});
       }
+    }
+    return CommitTouches(touches, step, engine, symbols, model);
+  }
+
+  // A catalog whose one index page is full: commit 0 bulk-loads
+  // kLeafEntries x kIndexRefs even oids, packing kIndexRefs full leaves
+  // under one full index page; commit 1 inserts the odd oid kSplitOid
+  // into a middle leaf, so that leaf splits and, with one leaf more than
+  // it can name, the index page splits too.
+  static constexpr std::uint64_t kLeafEntries = 20;
+  static constexpr std::uint64_t kIndexRefs = CommitManager::kRefsPerIndexPage;
+  static constexpr std::uint64_t kSplitOid =
+      kPagedBase + 2 * (kLeafEntries * kIndexRefs / 2) + 1;
+  static Status ApplyIndexSplitCommit(int step, StorageEngine* engine,
+                                      SymbolTable* symbols, Snapshot* model) {
+    std::vector<Touch> touches;
+    if (step == 0) {
+      for (std::uint64_t i = 0; i < kLeafEntries * kIndexRefs; ++i) {
+        touches.push_back({kPagedBase + 2 * i, 1});
+      }
+    } else {
+      touches.push_back({kSplitOid, 1});
     }
     return CommitTouches(touches, step, engine, symbols, model);
   }
@@ -214,7 +236,7 @@ TEST_F(CrashMatrixTest, EveryWriteIndexTornWrite) {
 }
 
 // The paged workload has the shape it claims: the update lands on a
-// middle page, the appends split the last page, and the pages the commit
+// middle leaf, the appends split the last leaf, and the leaves the commit
 // did not touch stay shared with the previous epoch.
 TEST_F(CrashMatrixTest, PagedWorkloadSplitsTheLastPage) {
   SimulatedDisk disk(512, 1024);
@@ -233,7 +255,9 @@ TEST_F(CrashMatrixTest, PagedWorkloadSplitsTheLastPage) {
   const std::vector<CatalogPage>& after = engine.catalog().pages();
   EXPECT_GT(after.size(), before.size());
   for (std::size_t p = 0; p < before.size() - 1; ++p) {
-    EXPECT_EQ(after[p].ref.track == before[p].ref.track, p != middle)
+    EXPECT_EQ(after[p].ref.track == before[p].ref.track &&
+                  after[p].ref.slot == before[p].ref.slot,
+              p != middle)
         << "page " << p;
   }
 }
@@ -244,6 +268,49 @@ TEST_F(CrashMatrixTest, PagedCatalogEveryWriteIndexCleanFailure) {
 
 TEST_F(CrashMatrixTest, PagedCatalogEveryWriteIndexTornWrite) {
   RunMatrix(FaultMode::kTear, 2, &ApplyPagedCommit);
+}
+
+// The index-split workload has the shape it claims: one full index page
+// over full leaves, then one insert that splits a middle leaf and the
+// index page both, leaving every other leaf where it was.
+TEST_F(CrashMatrixTest, IndexSplitWorkloadSplitsALeafAndItsIndexPage) {
+  SimulatedDisk disk(512, 1024);
+  StorageEngine engine(&disk);
+  ASSERT_TRUE(engine.Format().ok());
+  SymbolTable symbols;
+  Snapshot model;
+  ASSERT_TRUE(ApplyIndexSplitCommit(0, &engine, &symbols, &model).ok());
+  const std::vector<CatalogPage> before = engine.catalog().pages();
+  ASSERT_EQ(before.size(), kIndexRefs);
+  for (const CatalogPage& page : before) {
+    ASSERT_EQ(page.entries.size(), kLeafEntries);
+  }
+  ASSERT_EQ(engine.catalog().index().size(), 1u);
+  const std::size_t split = engine.catalog().PageFor(Oid(kSplitOid));
+  ASSERT_GT(split, 0u);
+  ASSERT_LT(split, before.size() - 1);
+
+  ASSERT_TRUE(ApplyIndexSplitCommit(1, &engine, &symbols, &model).ok());
+  const std::vector<CatalogPage>& after = engine.catalog().pages();
+  ASSERT_EQ(after.size(), before.size() + 1);
+  ASSERT_EQ(engine.catalog().index().size(), 2u);
+  EXPECT_EQ(engine.catalog().index()[0].leaves, kIndexRefs);
+  EXPECT_EQ(engine.catalog().index()[1].leaves, 1u);
+  for (std::size_t p = 0; p < before.size(); ++p) {
+    const CatalogPage& now = after[p < split ? p : p + 1];
+    EXPECT_EQ(now.ref.track == before[p].ref.track &&
+                  now.ref.slot == before[p].ref.slot,
+              p != split)
+        << "leaf " << p;
+  }
+}
+
+TEST_F(CrashMatrixTest, IndexSplitEveryWriteIndexCleanFailure) {
+  RunMatrix(FaultMode::kFail, 2, &ApplyIndexSplitCommit);
+}
+
+TEST_F(CrashMatrixTest, IndexSplitEveryWriteIndexTornWrite) {
+  RunMatrix(FaultMode::kTear, 2, &ApplyIndexSplitCommit);
 }
 
 // The transaction layer over the same matrix: a storage-failed commit

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+
 #include "storage/serializer.h"
 
 namespace gemstone::storage {
@@ -35,12 +38,12 @@ class StorageEngineTest : public ::testing::Test {
     return make(disk_.track_capacity() - 20 - base);
   }
 
-  // Single-track entries one catalog page holds on disk_'s geometry.
-  std::size_t PerPage() {
+  // Single-track entries one catalog leaf holds (pages are a fixed size,
+  // so on any geometry).
+  static std::size_t PerPage() {
     Extent one_track;
     one_track.tracks = {0};
-    return (CommitManager(&disk_).page_capacity() -
-            Catalog::kPageHeaderBytes) /
+    return (CommitManager::kPageBodyBytes - Catalog::kPageHeaderBytes) /
            Catalog::EntryBytes(one_track);
   }
 
@@ -53,6 +56,28 @@ class StorageEngineTest : public ::testing::Test {
     std::vector<const GsObject*> ptrs;
     for (const GsObject& o : objects) ptrs.push_back(&o);
     return engine->CommitObjects(ptrs, symbols_);
+  }
+
+  // Commits `n` small employees, oids 1000.., as one group: many share a
+  // data track, so a catalog of several index pages fits disk_.
+  Status BulkEmployees(StorageEngine* engine, std::size_t n) {
+    std::vector<GsObject> objects;
+    for (std::size_t i = 0; i < n; ++i) {
+      objects.push_back(MakeEmployee(1000 + i, "e", 100, 1));
+    }
+    std::vector<const GsObject*> ptrs;
+    for (const GsObject& o : objects) ptrs.push_back(&o);
+    return engine->CommitObjects(ptrs, symbols_);
+  }
+
+  // Flips the first byte of the page frame `ref` names.
+  Status CorruptPage(SimulatedDisk* disk, const PageRef& ref) {
+    return disk->CorruptTrack(ref.track, ref.slot * CommitManager::kPageBytes,
+                              0xFF);
+  }
+
+  static bool SamePlace(const PageRef& a, const PageRef& b) {
+    return a.track == b.track && a.slot == b.slot;
   }
 
   SymbolTable symbols_;
@@ -172,7 +197,7 @@ TEST_F(StorageEngineTest, CrashMidCommitPreservesPreviousEpoch) {
 }
 
 TEST_F(StorageEngineTest, DeviceFullReported) {
-  SimulatedDisk tiny(6, 256);  // 2 roots + barely any data tracks
+  SimulatedDisk tiny(6, 512);  // 2 roots + barely any data tracks
   StorageEngine engine(&tiny);
   ASSERT_TRUE(engine.Format().ok());
   GsObject big{Oid(1), Oid(7)};
@@ -277,7 +302,7 @@ TEST_F(StorageEngineTest, FormatRecoversAtEpochOne) {
   auto root = manager.RecoverRoot();
   ASSERT_TRUE(root.ok()) << root.status().ToString();
   EXPECT_EQ(root->epoch, 1u);
-  EXPECT_TRUE(root->pages.empty());
+  EXPECT_TRUE(root->index.empty());
   EXPECT_EQ(engine_.epoch(), 1u);
 
   GsObject emp = MakeEmployee(100, "Ellen", 24650, 1);
@@ -309,12 +334,12 @@ TEST_F(StorageEngineTest, OpenFallsBackWhenNewestCatalogCorrupt) {
   GsObject extra = MakeEmployee(101, "Robert", 24000, 5);
   ASSERT_TRUE(engine_.CommitObjects({&v2, &extra}, symbols_).ok());  // 3
 
-  // Bit rot inside a catalog page epoch 3 wrote.
+  // Bit rot inside the index page epoch 3 wrote.
   CommitManager manager(&disk_);
   auto newest = manager.RecoverRoot().ValueOrDie();
   ASSERT_EQ(newest.epoch, 3u);
-  ASSERT_FALSE(newest.pages.empty());
-  ASSERT_TRUE(disk_.CorruptTrack(newest.pages[0], 0, 0xFF).ok());
+  ASSERT_FALSE(newest.index.empty());
+  ASSERT_TRUE(CorruptPage(&disk_, newest.index[0]).ok());
 
   StorageEngine recovered(&disk_);
   ASSERT_TRUE(recovered.Open().ok());
@@ -337,14 +362,31 @@ TEST_F(StorageEngineTest, OpenFallsBackOnCatalogReadFault) {
 
   CommitManager manager(&disk_);
   auto newest = manager.RecoverRoot().ValueOrDie();
-  ASSERT_FALSE(newest.pages.empty());
-  disk_.InjectReadFault(newest.pages[0]);
+  ASSERT_FALSE(newest.index.empty());
+  disk_.InjectReadFault(newest.index[0].track);
 
   StorageEngine recovered(&disk_);
   ASSERT_TRUE(recovered.Open().ok());
   EXPECT_EQ(recovered.epoch(), newest.epoch - 1);
   EXPECT_GE(recovered.stats().recovery_fallbacks, 1u);
   disk_.ClearFault();
+}
+
+// One catalog entry must fit a leaf, which caps an object at 118 tracks:
+// a larger one fails before any write and leaks no track.
+TEST_F(StorageEngineTest, ObjectOverALeafFailsBeforeAnyWrite) {
+  GsObject huge{Oid(500), Oid(7)};
+  for (int i = 0; i < 7000; ++i) {
+    huge.AppendIndexed(1,
+                       Value::String("padding-padding-" + std::to_string(i)));
+  }
+  const std::uint64_t written = disk_.stats().tracks_written;
+  const std::size_t free = engine_.free_track_count();
+  EXPECT_EQ(engine_.CommitObjects({&huge}, symbols_).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(disk_.stats().tracks_written, written);
+  EXPECT_EQ(engine_.free_track_count(), free);
+  EXPECT_FALSE(engine_.Contains(Oid(500)));
 }
 
 // LoadObject/LoadObjects corruption paths, driven by the fault hooks.
@@ -396,21 +438,20 @@ TEST_F(StorageEngineTest, ReadFaultSurfacesAsIoError) {
   EXPECT_TRUE(engine_.LoadObject(Oid(100), &symbols_).ok());
 }
 
-// A page both roots share condemns both: Open fails with Corruption and
+// A leaf both roots share condemns both: Open fails with Corruption and
 // adopts no partial catalog, as for a corrupt data track.
 TEST_F(StorageEngineTest, OpenFailsOnCorruptSharedCatalogPage) {
   const std::size_t n = 2 * PerPage();
-  ASSERT_TRUE(BulkCommit(&engine_, n).ok());  // epoch 2: two full pages
+  ASSERT_TRUE(BulkCommit(&engine_, n).ok());  // epoch 2: two full leaves
+  const std::vector<CatalogPage> before = engine_.catalog().pages();
+  ASSERT_EQ(before.size(), 2u);
   GsObject last = MakeTrackSized(1000 + n - 1);
   ASSERT_TRUE(engine_.CommitObjects({&last}, symbols_).ok());  // epoch 3
-
-  CommitManager manager(&disk_);
-  const std::vector<RootState> roots = manager.RecoverRootCandidates();
-  ASSERT_EQ(roots.size(), 2u);
-  ASSERT_EQ(roots[0].pages.size(), 2u);
-  ASSERT_EQ(roots[0].pages[0], roots[1].pages[0]);  // shared
-  ASSERT_NE(roots[0].pages[1], roots[1].pages[1]);  // epoch 3 wrote it
-  ASSERT_TRUE(disk_.CorruptTrack(roots[0].pages[0], 0, 0xFF).ok());
+  const std::vector<CatalogPage>& after = engine_.catalog().pages();
+  ASSERT_TRUE(SamePlace(after[0].ref, before[0].ref));   // shared
+  ASSERT_FALSE(SamePlace(after[1].ref, before[1].ref));  // epoch 3 wrote it
+  ASSERT_EQ(CommitManager(&disk_).RecoverRootCandidates().size(), 2u);
+  ASSERT_TRUE(CorruptPage(&disk_, before[0].ref).ok());
 
   StorageEngine recovered(&disk_);
   EXPECT_EQ(recovered.Open().code(), StatusCode::kCorruption);
@@ -419,8 +460,60 @@ TEST_F(StorageEngineTest, OpenFailsOnCorruptSharedCatalogPage) {
   EXPECT_FALSE(recovered.Contains(Oid(1000)));
 }
 
+// Two index pages, then an update of the last oid: the newest root names
+// a new last leaf and a new last index page, and shares the first index
+// page with the older root.
+class TwoIndexPageTest : public StorageEngineTest {
+ protected:
+  static std::size_t Objects() {
+    return CommitManager::kRefsPerIndexPage * PerPage() + 1;
+  }
+
+  void SetUp() override {
+    ASSERT_TRUE(BulkEmployees(&engine_, Objects()).ok());  // epoch 2
+    ASSERT_EQ(engine_.catalog().index().size(), 2u);
+    GsObject last = MakeEmployee(1000 + Objects() - 1, "e", 200, 2);
+    ASSERT_TRUE(engine_.CommitObjects({&last}, symbols_).ok());  // epoch 3
+    roots_ = CommitManager(&disk_).RecoverRootCandidates();
+    ASSERT_EQ(roots_.size(), 2u);
+    ASSERT_EQ(roots_[0].epoch, 3u);
+    ASSERT_EQ(roots_[0].index.size(), 2u);
+    ASSERT_TRUE(SamePlace(roots_[0].index[0], roots_[1].index[0]));
+    ASSERT_FALSE(SamePlace(roots_[0].index[1], roots_[1].index[1]));
+  }
+
+  std::vector<RootState> roots_;  // newest first
+};
+
+// An index page only the newest root names is bad: Open falls back to
+// the older root, whose catalog is whole.
+TEST_F(TwoIndexPageTest, OpenFallsBackOnCorruptNewestIndexPage) {
+  ASSERT_TRUE(CorruptPage(&disk_, roots_[0].index[1]).ok());
+
+  StorageEngine recovered(&disk_);
+  ASSERT_TRUE(recovered.Open().ok());
+  EXPECT_EQ(recovered.epoch(), 2u);
+  EXPECT_GE(recovered.stats().recovery_fallbacks, 1u);
+  EXPECT_EQ(recovered.catalog().size(), Objects());
+  SymbolTable fresh;
+  auto loaded = recovered.LoadObject(Oid(1000 + Objects() - 1), &fresh);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded->ReadNamed(fresh.Lookup("salary"), kTimeNow),
+            Value::Integer(100));
+}
+
+// An index page both roots share is bad: Open fails.
+TEST_F(TwoIndexPageTest, OpenFailsOnCorruptSharedIndexPage) {
+  ASSERT_TRUE(CorruptPage(&disk_, roots_[0].index[0]).ok());
+
+  StorageEngine recovered(&disk_);
+  EXPECT_EQ(recovered.Open().code(), StatusCode::kCorruption);
+  EXPECT_FALSE(recovered.is_open());
+  EXPECT_EQ(recovered.catalog().size(), 0u);
+}
+
 // The paged catalog round-trips through Open at the page boundaries: no
-// entry, one entry, one full page, one full page plus one entry.
+// entry, one entry, one full leaf, one full leaf plus one entry.
 TEST_F(StorageEngineTest, PagedCatalogRoundTripsThroughOpen) {
   const std::size_t per_page = PerPage();
   ASSERT_GT(per_page, 1u);
@@ -432,12 +525,16 @@ TEST_F(StorageEngineTest, PagedCatalogRoundTripsThroughOpen) {
     ASSERT_TRUE(BulkCommit(&engine, n).ok()) << n;
     const std::size_t pages = (n + per_page - 1) / per_page;
     ASSERT_EQ(engine.catalog().pages().size(), pages) << n;
+    ASSERT_EQ(engine.catalog().index().size(), pages == 0 ? 0u : 1u) << n;
 
     StorageEngine recovered(&disk);
     ASSERT_TRUE(recovered.Open().ok()) << n;
     EXPECT_EQ(recovered.epoch(), 2u) << n;
     EXPECT_EQ(recovered.catalog().size(), n);
     EXPECT_EQ(recovered.catalog().pages().size(), pages) << n;
+    EXPECT_EQ(recovered.catalog().index().size(),
+              engine.catalog().index().size())
+        << n;
     EXPECT_EQ(recovered.CatalogOids(), engine.CatalogOids()) << n;
     SymbolTable fresh;
     for (std::size_t i = 0; i < n; ++i) {
@@ -448,8 +545,8 @@ TEST_F(StorageEngineTest, PagedCatalogRoundTripsThroughOpen) {
   }
 }
 
-// A bulk commit packs pages full: N single-track entries take
-// ceil(N / per-page) pages, every page but the last holding per-page.
+// A bulk commit packs leaves full: N single-track entries take
+// ceil(N / per-leaf) leaves, every leaf but the last holding per-leaf.
 TEST_F(StorageEngineTest, BulkCommitPacksPagesFull) {
   const std::size_t per_page = PerPage();
   const std::size_t n = 3 * per_page + 5;
@@ -462,9 +559,35 @@ TEST_F(StorageEngineTest, BulkCommitPacksPagesFull) {
   EXPECT_EQ(pages.back().entries.size(), 5u);
 }
 
-// The point of paging: one object updated in a 10,000-object catalog
-// writes its data track, the one page holding its oid, and the root —
-// and engine.bytes_written counts exactly those bytes.
+// The index level packs full too, and every page a bulk commit writes
+// shares page tracks with its neighbours: 2 full index pages and 1 over
+// the last leaf, on as few page tracks as the pages fill.
+TEST_F(StorageEngineTest, BulkCommitPacksIndexPagesAndPageTracksFull) {
+  const std::size_t per_index = CommitManager::kRefsPerIndexPage;
+  const std::size_t leaves = 2 * per_index + 1;
+  ASSERT_TRUE(BulkEmployees(&engine_, (leaves - 1) * PerPage() + 1).ok());
+  const Catalog& catalog = engine_.catalog();
+  ASSERT_EQ(catalog.pages().size(), leaves);
+  ASSERT_EQ(catalog.index().size(), 3u);
+  EXPECT_EQ(catalog.index()[0].leaves, per_index);
+  EXPECT_EQ(catalog.index()[1].leaves, per_index);
+  EXPECT_EQ(catalog.index()[2].leaves, 1u);
+
+  std::set<TrackId> page_tracks;
+  for (const CatalogPage& page : catalog.pages()) {
+    page_tracks.insert(page.ref.track);
+  }
+  for (const IndexPage& page : catalog.index()) {
+    page_tracks.insert(page.ref.track);
+  }
+  const CommitManager manager(&disk_);
+  EXPECT_EQ(page_tracks.size(), manager.PageTracksFor(leaves + 3));
+}
+
+// The point of the two-level catalog: one object updated in a
+// 10,000-object catalog writes its data track, one page track holding
+// the one leaf with its oid and the one index page over that leaf, and
+// the root — and engine.bytes_written counts exactly those bytes.
 TEST_F(StorageEngineTest, SingleUpdateIntoLargeCatalogWritesThreeTracks) {
   SimulatedDisk disk(4096, 8192);
   StorageEngine engine(&disk);
@@ -477,7 +600,8 @@ TEST_F(StorageEngineTest, SingleUpdateIntoLargeCatalogWritesThreeTracks) {
   for (const GsObject& o : objects) ptrs.push_back(&o);
   ASSERT_TRUE(engine.CommitObjects(ptrs, symbols_).ok());
   const std::vector<CatalogPage> before = engine.catalog().pages();
-  ASSERT_GE(before.size(), 3u);
+  const std::vector<IndexPage> index_before = engine.catalog().index();
+  ASSERT_GE(index_before.size(), 3u);
 
   const Oid oid(1000 + 5000);
   GsObject updated = objects[5000];
@@ -487,44 +611,129 @@ TEST_F(StorageEngineTest, SingleUpdateIntoLargeCatalogWritesThreeTracks) {
   ASSERT_TRUE(engine.CommitObjects({&updated}, symbols_).ok());
   EXPECT_EQ(disk.stats().tracks_written - tracks_before, 3u);
 
+  // Exactly one leaf and one index page moved, onto one page track.
   const std::vector<CatalogPage>& after = engine.catalog().pages();
   ASSERT_EQ(after.size(), before.size());
   const std::size_t dirty = engine.catalog().PageFor(oid);
   for (std::size_t p = 0; p < after.size(); ++p) {
-    EXPECT_EQ(after[p].ref.track != before[p].ref.track, p == dirty) << p;
+    EXPECT_EQ(!SamePlace(after[p].ref, before[p].ref), p == dirty) << p;
   }
+  const std::vector<IndexPage>& index_after = engine.catalog().index();
+  ASSERT_EQ(index_after.size(), index_before.size());
+  std::size_t moved = 0;
+  for (std::size_t k = 0; k < index_after.size(); ++k) {
+    if (SamePlace(index_after[k].ref, index_before[k].ref)) continue;
+    ++moved;
+    EXPECT_EQ(index_after[k].ref.track, after[dirty].ref.track);
+  }
+  EXPECT_EQ(moved, 1u);
+
   const TrackId root_slot = engine.epoch() % 2 == 0 ? CommitManager::kRootSlotA
                                                     : CommitManager::kRootSlotB;
   const std::size_t root_bytes = disk.ReadTrack(root_slot).ValueOrDie().size();
-  EXPECT_EQ(root_bytes, CommitManager::RootBytes(after.size()));
+  EXPECT_EQ(root_bytes, CommitManager::RootBytes(index_after.size()));
+  const std::size_t page_track_bytes =
+      disk.ReadTrack(after[dirty].ref.track).ValueOrDie().size();
+  EXPECT_EQ(page_track_bytes, 2 * CommitManager::kPageBytes);  // leaf + index
   const Extent* extent = engine.catalog().Find(oid);
   ASSERT_EQ(extent->tracks.size(), 1u);
+  const std::size_t payload_bytes =
+      disk.ReadTrack(extent->tracks[0]).ValueOrDie().size();
   EXPECT_EQ(engine.stats().bytes_written - bytes_before,
-            disk.ReadTrack(extent->tracks[0]).ValueOrDie().size() +
-                disk.ReadTrack(after[dirty].ref.track).ValueOrDie().size() +
-                root_bytes);
+            payload_bytes + page_track_bytes + root_bytes);
+  EXPECT_LT(engine.stats().bytes_written - bytes_before, 2000u);
 }
 
-// The root addresses every page an 8 KiB root holds four-byte ids for
-// (2,040); one page more fails before any track is written.
+// Seeded random commits — updates anywhere, inserts between and after
+// existing oids — keep both levels well formed, and Open reads back the
+// same tree after every one.
+TEST_F(StorageEngineTest, RandomCommitsKeepTheTreeWellFormed) {
+  SimulatedDisk disk(4096, 8192);
+  StorageEngine engine(&disk);
+  ASSERT_TRUE(engine.Format().ok());
+  std::mt19937_64 rng(17);
+  std::set<std::uint64_t> live;
+  for (int commit = 0; commit < 40; ++commit) {
+    std::vector<GsObject> objects;
+    const std::size_t n = 1 + rng() % (commit % 5 == 0 ? 400 : 20);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t oid = 1000 + rng() % 6000;
+      objects.push_back(MakeEmployee(oid, "e", commit, 1));
+      live.insert(oid);
+    }
+    std::vector<const GsObject*> ptrs;
+    for (const GsObject& o : objects) ptrs.push_back(&o);
+    ASSERT_TRUE(engine.CommitObjects(ptrs, symbols_).ok()) << commit;
+
+    const Catalog& catalog = engine.catalog();
+    ASSERT_EQ(catalog.size(), live.size()) << commit;
+    std::size_t leaves = 0;
+    for (const IndexPage& page : catalog.index()) {
+      EXPECT_GE(page.leaves, 1u) << commit;
+      EXPECT_LE(page.leaves, CommitManager::kRefsPerIndexPage) << commit;
+      leaves += page.leaves;
+    }
+    ASSERT_EQ(leaves, catalog.pages().size()) << commit;
+    for (const CatalogPage& page : catalog.pages()) {
+      EXPECT_LE(Catalog::EncodePage(page).size(),
+                CommitManager::kPageBodyBytes)
+          << commit;
+    }
+    StorageEngine recovered(&disk);
+    ASSERT_TRUE(recovered.Open().ok()) << commit;
+    EXPECT_EQ(recovered.CatalogOids(), engine.CatalogOids()) << commit;
+    EXPECT_EQ(recovered.catalog().index().size(), catalog.index().size());
+    EXPECT_EQ(recovered.free_track_count(), engine.free_track_count())
+        << commit;
+  }
+}
+
+// The root addresses every index page an 8 KiB root holds track-and-slot
+// entries for (1,360); one index page more fails before any track is
+// written.
 TEST_F(StorageEngineTest, PageListOverTheRootWritesNothing) {
   SimulatedDisk disk(64, 8192);
   CommitManager manager(&disk);
   ASSERT_TRUE(manager.Format().ok());
-  std::vector<PageRef> pages(
-      (disk.track_capacity() - CommitManager::RootBytes(0)) / sizeof(TrackId),
-      PageRef{5, 0});
-  ASSERT_GE(pages.size(), 2040u);
-  ASSERT_TRUE(manager.CommitGroup({}, {}, pages, /*next_epoch=*/2).ok());
+  ASSERT_EQ(manager.max_index_pages(), 1360u);
+  ASSERT_LE(CommitManager::RootBytes(manager.max_index_pages()),
+            disk.track_capacity());
+  ASSERT_GT(CommitManager::RootBytes(manager.max_index_pages() + 1),
+            disk.track_capacity());
+  std::vector<PageRef> index(manager.max_index_pages(), PageRef{5, 3, 0});
+  ASSERT_TRUE(manager.CommitGroup({}, {}, index, /*next_epoch=*/2).ok());
+  EXPECT_EQ(manager.RecoverRoot()->index.size(), index.size());
 
-  pages.push_back(PageRef{5, 0});
+  index.push_back(PageRef{5, 3, 0});
   const std::uint64_t written_before = disk.stats().tracks_written;
-  Status s = manager.CommitGroup({{6, {1, 2, 3}}}, {{7, {4}}}, pages,
+  Status s = manager.CommitGroup({{6, {1, 2, 3}}}, {{7, {4}}}, index,
                                  /*next_epoch=*/3);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(disk.stats().tracks_written, written_before);
   EXPECT_TRUE(disk.ReadTrack(6).ValueOrDie().empty());
   EXPECT_EQ(manager.RecoverRoot()->epoch, 2u);
+}
+
+// The capacity the two levels give at 8 KiB tracks: root entries x refs
+// per index page x single-track entries per leaf. The single-level
+// catalog before it addressed 693,600 (2,040 pages of 340).
+TEST_F(StorageEngineTest, CatalogAddressesAtLeastTheSingleLevelLimit) {
+  SimulatedDisk disk(64, 8192);
+  const std::size_t bound = CommitManager(&disk).max_index_pages() *
+                            CommitManager::kRefsPerIndexPage * PerPage();
+  EXPECT_EQ(PerPage(), 20u);
+  EXPECT_EQ(CommitManager::kRefsPerIndexPage, 35u);
+  EXPECT_EQ(bound, 952000u);
+  EXPECT_GE(bound, 693600u);
+}
+
+// A track smaller than a page cannot hold the catalog: Format refuses
+// the device before writing anything.
+TEST_F(StorageEngineTest, FormatRejectsTracksSmallerThanAPage) {
+  SimulatedDisk disk(8, CommitManager::kPageBytes - 1);
+  StorageEngine engine(&disk);
+  EXPECT_EQ(engine.Format().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(disk.stats().tracks_written, 0u);
 }
 
 }  // namespace

@@ -237,6 +237,31 @@ TEST(TierStoreTest, DeepestLevelOverflowsIntoArchive) {
             Value::Integer(2));
 }
 
+// Appends with no compaction pass between them fill L1 until a forced
+// merge makes room. The room it keeps is the new run's data plus the
+// level catalog rewritten with one more entry, and here that catalog
+// grows to several page tracks: every append must still succeed.
+TEST(TierStoreTest, AppendsIntoAFullLevelForceAMerge) {
+  SymbolTable symbols;
+  ArchivalStore archive;
+  TierOptions options = SmallOptions(/*levels=*/1);
+  options.tracks_per_level = 64;
+  TierStore store(&symbols, &archive, options);
+  ASSERT_TRUE(store.Format().ok());
+  for (int run = 0; run < 200; ++run) {
+    ASSERT_TRUE(store
+                    .AppendRun(Sorted({Named(5 + static_cast<unsigned>(run),
+                                             "a", 1, Value::Integer(run))}))
+                    .ok())
+        << "run " << run;
+  }
+  EXPECT_GE(store.counters().archive_merges, 1u);
+  EXPECT_EQ(store.ResolveNamed(Oid(5), "a", 2).ValueOrDie()->value,
+            Value::Integer(0));
+  EXPECT_EQ(store.ResolveNamed(Oid(204), "a", 2).ValueOrDie()->value,
+            Value::Integer(199));
+}
+
 TEST(TierStoreTest, OpenRecoversEveryLevelFromPlatters) {
   SymbolTable symbols;
   ArchivalStore archive;

@@ -1,5 +1,7 @@
 #include "opal/interpreter.h"
 
+#include <unordered_map>
+
 #include "telemetry/profiler.h"
 
 namespace gemstone::opal {
@@ -49,12 +51,95 @@ Result<Value> Interpreter::Run(std::shared_ptr<const CompiledMethod> body) {
   block_invocations_.Increment(tally_.block_invocations);
   bytecodes_.Increment(tally_.bytecodes);
   tally_ = InterpreterStats{};
+  if (depth_ == 0) CollectClosureCycles();
   if (nlr_active_) {
     nlr_active_ = false;
     return Status::RuntimeError(
         "non-local return from a block whose home method already returned");
   }
   return result;
+}
+
+void Interpreter::CollectClosureCycles() {
+  // Nodes: the captured environments still alive, then every closure
+  // their slots hold. A node's count starts at its strong references and
+  // loses one per reference from another node; what is left over comes
+  // from outside, and makes the node — and all it reaches — live.
+  std::vector<std::shared_ptr<TempEnv>> envs;
+  std::unordered_map<const TempEnv*, std::size_t> env_node;
+  for (const std::weak_ptr<TempEnv>& weak : captured_envs_) {
+    if (std::shared_ptr<TempEnv> env = weak.lock()) {
+      env_node.emplace(env.get(), envs.size());
+      envs.push_back(std::move(env));
+    }
+  }
+  captured_envs_.clear();
+  if (envs.empty()) return;
+  std::vector<long> outside(envs.size());
+  for (std::size_t i = 0; i < envs.size(); ++i) {
+    outside[i] = envs[i].use_count() - 1;  // less the lock just taken
+  }
+  std::vector<const BlockClosure*> closures;
+  std::unordered_map<const BlockClosure*, std::size_t> closure_node;
+  const auto closure_in = [](const Value& slot) -> const BlockClosure* {
+    return slot.IsHandle()
+               ? dynamic_cast<const BlockClosure*>(slot.handle().get())
+               : nullptr;
+  };
+  for (const auto& env : envs) {
+    for (const Value& slot : env->slots) {
+      const BlockClosure* closure = closure_in(slot);
+      if (closure == nullptr) continue;
+      if (closure_node.emplace(closure, envs.size() + closures.size())
+              .second) {
+        closures.push_back(closure);
+        outside.push_back(slot.handle().use_count());
+      }
+      --outside[closure_node[closure]];
+    }
+    auto parent = env_node.find(env->parent.get());
+    if (parent != env_node.end()) --outside[parent->second];
+  }
+  for (const BlockClosure* closure : closures) {
+    auto home = env_node.find(closure->home_env.get());
+    if (home != env_node.end()) --outside[home->second];
+  }
+  // Mark from the nodes referenced from outside.
+  std::vector<bool> live(outside.size(), false);
+  std::vector<std::size_t> work;
+  for (std::size_t n = 0; n < outside.size(); ++n) {
+    if (outside[n] > 0) work.push_back(n);
+  }
+  while (!work.empty()) {
+    const std::size_t n = work.back();
+    work.pop_back();
+    if (live[n]) continue;
+    live[n] = true;
+    if (n >= envs.size()) {
+      auto home = env_node.find(closures[n - envs.size()]->home_env.get());
+      if (home != env_node.end()) work.push_back(home->second);
+      continue;
+    }
+    for (const Value& slot : envs[n]->slots) {
+      const BlockClosure* closure = closure_in(slot);
+      if (closure != nullptr) work.push_back(closure_node[closure]);
+    }
+    auto parent = env_node.find(envs[n]->parent.get());
+    if (parent != env_node.end()) work.push_back(parent->second);
+  }
+  // Live environments stay tracked; the rest are cut open, and `envs`
+  // frees them when it goes.
+  std::vector<Value> doomed;
+  for (std::size_t i = 0; i < envs.size(); ++i) {
+    if (live[i]) {
+      captured_envs_.push_back(envs[i]);
+      continue;
+    }
+    std::move(envs[i]->slots.begin(), envs[i]->slots.end(),
+              std::back_inserter(doomed));
+    envs[i]->slots.clear();
+    envs[i]->parent.reset();
+  }
 }
 
 Result<Value> Interpreter::Send(const Value& receiver, SymbolId selector,
@@ -371,6 +456,18 @@ Result<Value> Interpreter::Execute(Frame& frame) {
         auto closure = std::make_shared<BlockClosure>();
         closure->method = frame.method->blocks[index];
         closure->home_env = frame.env;
+        if (!frame.env->captured) {
+          frame.env->captured = true;
+          // Drop the dead before the list grows: a long loop of nested
+          // blocks captures one environment per iteration.
+          if (captured_envs_.size() == captured_envs_.capacity()) {
+            std::erase_if(captured_envs_,
+                          [](const std::weak_ptr<TempEnv>& env) {
+                            return env.expired();
+                          });
+          }
+          captured_envs_.push_back(frame.env);
+        }
         closure->home_receiver = frame.receiver;
         closure->home_class = frame.defining_class;
         closure->home_frame_id = frame.home_frame_id;

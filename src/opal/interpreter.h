@@ -26,6 +26,7 @@ namespace gemstone::opal {
 struct TempEnv {
   std::vector<Value> slots;
   std::shared_ptr<TempEnv> parent;
+  bool captured = false;  // a closure's home_env: the interpreter tracks it
 };
 
 /// A closed-over block: compiled code plus the captured environment,
@@ -150,6 +151,12 @@ class Interpreter {
                              Oid defining_class);
   Result<Value> PathRead(const Value& receiver, SymbolId name,
                          const Value* time);
+  /// Frees the closures and environments only reference cycles keep alive
+  /// (a block stored into a temp of the environment it captured):
+  /// trial deletion over the captured environments and the closures their
+  /// slots hold. Anything referenced from elsewhere — a global, an
+  /// object, the caller's result — stays, with all it reaches.
+  void CollectClosureCycles();
 
   ObjectMemory* memory_;
   txn::Session* session_;
@@ -166,6 +173,8 @@ class Interpreter {
   /// before it returns.
   InterpreterStats tally_;
 
+  /// Every environment a closure captured; only these can sit on a cycle.
+  std::vector<std::weak_ptr<TempEnv>> captured_envs_;
   std::uint64_t next_frame_id_ = 1;
   bool nlr_active_ = false;
   std::uint64_t nlr_target_ = 0;

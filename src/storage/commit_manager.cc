@@ -276,4 +276,46 @@ Result<PageTree> CommitManager::ReadTree(const RootState& root) const {
   return tree;
 }
 
+std::size_t CommitManager::StreamPageTracks(std::size_t bytes) const {
+  const std::size_t leaves = (bytes + kPageBodyBytes - 1) / kPageBodyBytes;
+  return PageTracksFor(leaves +
+                       (leaves + kRefsPerIndexPage - 1) / kRefsPerIndexPage);
+}
+
+Status CommitManager::CommitStream(const TrackWrites& data_tracks,
+                                   std::span<const std::uint8_t> stream,
+                                   const std::vector<TrackId>& page_tracks,
+                                   std::uint64_t next_epoch) {
+  PageTrackWriter writer(page_tracks, pages_per_track());
+  std::vector<PageRef> leaves;
+  for (std::size_t begin = 0; begin < stream.size(); begin += kPageBodyBytes) {
+    leaves.push_back(writer.Add(stream.subspan(
+        begin, std::min(kPageBodyBytes, stream.size() - begin))));
+  }
+  std::vector<PageRef> index;
+  for (std::size_t begin = 0; begin < leaves.size();
+       begin += kRefsPerIndexPage) {
+    index.push_back(writer.Add(EncodeIndexPage(
+        std::span<const PageRef>(leaves).subspan(
+            begin, std::min(kRefsPerIndexPage, leaves.size() - begin)))));
+  }
+  return CommitGroup(data_tracks, writer.Take(), index, next_epoch);
+}
+
+Result<std::vector<std::uint8_t>> CommitManager::ReadStream(
+    const RootState& root, std::vector<TrackId>* page_tracks) const {
+  GS_ASSIGN_OR_RETURN(PageTree tree, ReadTree(root));
+  std::vector<std::uint8_t> bytes;
+  for (const PageImage& leaf : tree.leaves) {
+    bytes.insert(bytes.end(), leaf.body.begin(), leaf.body.end());
+    if (page_tracks != nullptr) page_tracks->push_back(leaf.ref.track);
+  }
+  if (page_tracks != nullptr) {
+    for (const IndexPage& page : tree.index) {
+      page_tracks->push_back(page.ref.track);
+    }
+  }
+  return bytes;
+}
+
 }  // namespace gemstone::storage

@@ -155,6 +155,24 @@ class CommitManager {
   /// page holds. Corruption on any mismatch.
   Result<PageTree> ReadTree(const RootState& root) const;
 
+  /// A catalog kept as one byte stream and rewritten whole on every flip
+  /// (a tier level's): the stream is cut into leaves, in order, with index
+  /// pages over them. Page tracks a stream of `bytes` takes.
+  std::size_t StreamPageTracks(std::size_t bytes) const;
+
+  /// CommitGroup for a whole stream: lays `stream` onto `page_tracks`
+  /// (StreamPageTracks(stream.size()) fresh tracks) and commits it with
+  /// `data_tracks`.
+  Status CommitStream(const TrackWrites& data_tracks,
+                      std::span<const std::uint8_t> stream,
+                      const std::vector<TrackId>& page_tracks,
+                      std::uint64_t next_epoch);
+
+  /// The stream `root` names, verified as ReadTree verifies it.
+  /// `page_tracks`, when given, receives the page tracks it lives on.
+  Result<std::vector<std::uint8_t>> ReadStream(
+      const RootState& root, std::vector<TrackId>* page_tracks = nullptr) const;
+
  private:
   Status WriteRoot(const RootState& root);
 

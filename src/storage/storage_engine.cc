@@ -1,7 +1,6 @@
 #include "storage/storage_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <map>
 
 #include "storage/serializer.h"
@@ -39,42 +38,6 @@ EngineStats StorageEngine::stats() const {
 Status StorageEngine::Format() {
   GS_RETURN_IF_ERROR(commit_manager_.Format());
   return Open();
-}
-
-void TrackMap::Reset(TrackId tracks) {
-  used_.assign((tracks + 63) / 64, 0);
-  // Bits past the last track read as used, so a scan never yields them.
-  if (tracks % 64 != 0) used_.back() = ~std::uint64_t{0} << (tracks % 64);
-  free_ = tracks;
-  cursor_ = 0;
-}
-
-void TrackMap::MarkUsed(TrackId track) {
-  std::uint64_t& word = used_[track / 64];
-  const std::uint64_t bit = std::uint64_t{1} << (track % 64);
-  if ((word & bit) != 0) return;
-  word |= bit;
-  --free_;
-}
-
-void TrackMap::Free(TrackId track) {
-  std::uint64_t& word = used_[track / 64];
-  const std::uint64_t bit = std::uint64_t{1} << (track % 64);
-  if ((word & bit) == 0) return;
-  word &= ~bit;
-  ++free_;
-  cursor_ = std::min(cursor_, track);
-}
-
-TrackId TrackMap::TakeLowest() {
-  std::size_t w = cursor_ / 64;
-  while (used_[w] == ~std::uint64_t{0}) ++w;
-  const TrackId track = static_cast<TrackId>(
-      w * 64 + static_cast<std::size_t>(std::countr_one(used_[w])));
-  used_[w] |= std::uint64_t{1} << (track % 64);
-  --free_;
-  cursor_ = track + 1;
-  return track;
 }
 
 Status StorageEngine::Open() {
@@ -121,8 +84,6 @@ Status StorageEngine::Open() {
     }
   }
   tracks_.Reset(disk_->num_tracks());
-  tracks_.MarkUsed(CommitManager::kRootSlotA);
-  tracks_.MarkUsed(CommitManager::kRootSlotB);
   for (const auto& [track, count] : refs) {
     if (track >= disk_->num_tracks()) {
       return Status::Corruption("catalog names a track beyond the device");
@@ -136,22 +97,6 @@ Status StorageEngine::Open() {
   free_tracks_gauge_.Set(static_cast<std::int64_t>(tracks_.free_count()));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
   return Status::OK();
-}
-
-Result<std::vector<TrackId>> StorageEngine::Allocate(std::size_t n) {
-  if (tracks_.free_count() < n) {
-    return Status::IoError("device full: need " + std::to_string(n) +
-                           " tracks, have " +
-                           std::to_string(tracks_.free_count()));
-  }
-  std::vector<TrackId> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(tracks_.TakeLowest());
-  return out;
-}
-
-void StorageEngine::Release(const std::vector<TrackId>& tracks) {
-  for (TrackId t : tracks) tracks_.Free(t);
 }
 
 void StorageEngine::AddRefs(const std::vector<TrackId>& tracks) {
@@ -189,7 +134,7 @@ Status StorageEngine::CommitObjects(
   }
   // 3. Allocate shadow tracks for the data.
   GS_ASSIGN_OR_RETURN(std::vector<TrackId> data_tracks,
-                      Allocate(boxing.payloads.size()));
+                      tracks_.Allocate(boxing.payloads.size()));
   // 4. Build the changed-extent list and link the next versions of the
   // leaves it touches and of the index pages over them.
   Linker::LinkResult linked;
@@ -206,7 +151,7 @@ Status StorageEngine::CommitObjects(
       }
       if (Catalog::kPageHeaderBytes + Catalog::EntryBytes(extent) >
           CommitManager::kPageBodyBytes) {
-        Release(data_tracks);
+        tracks_.Release(data_tracks);
         return Status::InvalidArgument("catalog entry exceeds a page");
       }
       changed.emplace_back(oids[i], std::move(extent));
@@ -216,9 +161,9 @@ Status StorageEngine::CommitObjects(
   std::size_t new_pages = 0;
   for (const auto& splice : linked.leaves) new_pages += splice.pages.size();
   for (const auto& splice : linked.index) new_pages += splice.pages.size();
-  auto page_alloc = Allocate(commit_manager_.PageTracksFor(new_pages));
+  auto page_alloc = tracks_.Allocate(commit_manager_.PageTracksFor(new_pages));
   if (!page_alloc.ok()) {
-    Release(data_tracks);
+    tracks_.Release(data_tracks);
     return page_alloc.status();
   }
   const std::vector<TrackId> page_tracks = std::move(page_alloc).value();
@@ -261,8 +206,8 @@ Status StorageEngine::CommitObjects(
   Status commit_status =
       commit_manager_.CommitGroup(group, page_writes, index, epoch_ + 1);
   if (!commit_status.ok()) {
-    Release(data_tracks);
-    Release(page_tracks);
+    tracks_.Release(data_tracks);
+    tracks_.Release(page_tracks);
     return commit_status;
   }
 

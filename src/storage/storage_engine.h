@@ -12,6 +12,7 @@
 #include "storage/commit_manager.h"
 #include "storage/linker.h"
 #include "storage/simulated_disk.h"
+#include "storage/track_map.h"
 #include "telemetry/metrics.h"
 
 namespace gemstone::storage {
@@ -23,26 +24,6 @@ struct EngineStats {
   std::uint64_t bytes_written = 0;
   std::uint64_t objects_loaded = 0;
   std::uint64_t recovery_fallbacks = 0;  // roots abandoned during Open
-};
-
-/// Which tracks of a device are in use: one bit per track and a cursor
-/// below which every track is in use, so taking the lowest free tracks —
-/// which keeps a commit's tracks adjacent — scans from the cursor, and
-/// rebuilding the map costs O(catalog), not a node per free track.
-class TrackMap {
- public:
-  /// Every track of a `tracks`-track device free.
-  void Reset(TrackId tracks);
-  void MarkUsed(TrackId track);
-  void Free(TrackId track);
-  /// The lowest free track, now in use. Requires free_count() > 0.
-  TrackId TakeLowest();
-  std::size_t free_count() const { return free_; }
-
- private:
-  std::vector<std::uint64_t> used_;  // bit t % 64 of word t / 64
-  std::size_t free_ = 0;
-  TrackId cursor_ = 0;
 };
 
 /// The secondary-storage face of the Object Manager: orchestrates the
@@ -119,9 +100,6 @@ class StorageEngine {
   std::size_t free_track_count() const { return tracks_.free_count(); }
 
  private:
-  Result<std::vector<TrackId>> Allocate(std::size_t n);
-  void Release(const std::vector<TrackId>& tracks);
-
   /// Small objects cluster several extents onto one data track, and a
   /// page track holds several catalog pages, so a track is reusable only
   /// when the *last* extent or page on it is superseded. `tracks` names a

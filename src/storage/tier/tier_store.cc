@@ -25,48 +25,6 @@ std::uint64_t NowNs() {
           .count());
 }
 
-/// Chunks a run's byte stream across its allocated tracks, in order.
-TrackWrites ChunkToTracks(const std::vector<std::uint8_t>& bytes,
-                          const std::vector<TrackId>& tracks,
-                          std::size_t capacity) {
-  TrackWrites out;
-  out.reserve(tracks.size());
-  for (std::size_t i = 0; i < tracks.size(); ++i) {
-    const std::size_t begin = i * capacity;
-    const std::size_t end = std::min(bytes.size(), begin + capacity);
-    out.emplace_back(tracks[i], std::vector<std::uint8_t>(
-                                    bytes.begin() + begin, bytes.begin() + end));
-  }
-  return out;
-}
-
-/// Page tracks a level catalog of `bytes` takes: the stream cut into
-/// leaves, with index pages over them.
-std::size_t CatalogPageTracks(const CommitManager& commits,
-                              std::size_t bytes) {
-  constexpr std::size_t kBody = CommitManager::kPageBodyBytes;
-  constexpr std::size_t kRefs = CommitManager::kRefsPerIndexPage;
-  const std::size_t leaves = (bytes + kBody - 1) / kBody;
-  return commits.PageTracksFor(leaves + (leaves + kRefs - 1) / kRefs);
-}
-
-/// The level catalog stream `root` names: its leaves' bodies, in order.
-/// `tracks`, when given, receives the page tracks the tree lives on.
-Result<std::vector<std::uint8_t>> ReadLevelCatalog(
-    const CommitManager& commits, const RootState& root,
-    std::vector<TrackId>* tracks = nullptr) {
-  GS_ASSIGN_OR_RETURN(PageTree tree, commits.ReadTree(root));
-  std::vector<std::uint8_t> bytes;
-  for (const PageImage& leaf : tree.leaves) {
-    bytes.insert(bytes.end(), leaf.body.begin(), leaf.body.end());
-    if (tracks != nullptr) tracks->push_back(leaf.ref.track);
-  }
-  if (tracks != nullptr) {
-    for (const IndexPage& page : tree.index) tracks->push_back(page.ref.track);
-  }
-  return bytes;
-}
-
 /// Sorts and folds exact-duplicate bindings — the shape repeated
 /// demotions and level merges produce by design.
 void SortAndDedupe(std::vector<VersionRecord>* records) {
@@ -141,7 +99,7 @@ Status TierStore::Format() {
     level.epoch = 1;  // Format seeds epochs 0 and 1; recovery adopts 1
     level.catalog_tracks.clear();
     level.runs.clear();
-    RecomputeFreeLocked(level);
+    RebuildTracksLocked(level);
   }
   next_run_id_ = 1;
   SyncMirrorsLocked();
@@ -151,9 +109,11 @@ Status TierStore::Format() {
 
 Status TierStore::Open() {
   MutexLock lock(mu_);
-  // Which archived-run ids any recoverable root still references — the
+  // Which archived-run ids any parseable root still references — the
   // complement gets garbage collected (a crash between StoreRun and the
-  // catalog flip orphans the new blob).
+  // catalog flip orphans the new blob). The older root's blobs stay: it
+  // is the fallback if the adopted slot's catalog track rots later —
+  // exactly the engine's shadow-retention rule.
   std::unordered_set<std::uint64_t> referenced_blobs;
   for (Level& level : levels_) {
     const std::vector<RootState> candidates =
@@ -169,59 +129,52 @@ Status TierStore::Open() {
       std::vector<TrackId> catalog_tracks;
       std::uint64_t catalog_next_id = 1;
       if (!root.index.empty()) {
-        auto bytes = ReadLevelCatalog(*level.commits, root, &catalog_tracks);
-        if (!bytes.ok()) {
-          last_error = bytes.status();
-          recovery_fallbacks_.Increment();
-          continue;
-        }
-        auto parsed = DecodeLevelCatalog(bytes.value(), &catalog_next_id);
+        auto bytes = level.commits->ReadStream(root, &catalog_tracks);
+        auto parsed = bytes.ok()
+                          ? DecodeLevelCatalog(bytes.value(), &catalog_next_id)
+                          : Result<std::vector<RunState>>(bytes.status());
         if (!parsed.ok()) {
-          last_error = parsed.status();
-          recovery_fallbacks_.Increment();
+          if (!adopted) {
+            last_error = parsed.status();
+            recovery_fallbacks_.Increment();
+          }
           continue;
         }
         runs = std::move(parsed).value();
       }
+      for (const RunState& run : runs) {
+        if (run.archived) referenced_blobs.insert(run.id);
+      }
+      if (adopted) continue;
       // Verify every run the catalog references and rebuild its fence
       // index; one bad run condemns the whole root.
-      bool runs_ok = true;
+      Status verified = Status::OK();
+      const std::size_t cap = level.disk->track_capacity();
       for (RunState& run : runs) {
-        Result<std::vector<std::uint8_t>> blob =
-            run.archived
-                ? (archive_ != nullptr
-                       ? archive_->ReadRun(run.id)
-                       : Result<std::vector<std::uint8_t>>(Status::Unavailable(
-                             "catalog references archived run but no "
-                             "archival store attached")))
-                : [&]() -> Result<std::vector<std::uint8_t>> {
-                    std::vector<std::uint8_t> bytes;
-                    for (TrackId t : run.tracks) {
-                      GS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> track,
-                                          level.disk->ReadTrack(t));
-                      bytes.insert(bytes.end(), track.begin(), track.end());
-                    }
-                    return bytes;
-                  }();
-        if (!blob.ok() || blob.value().size() != run.byte_len) {
-          last_error = blob.ok() ? Status::Corruption(
-                                       "tier run length mismatch on recovery")
-                                 : blob.status();
-          runs_ok = false;
+        // Exactly the tracks its bytes fill, so every track the rebuilt
+        // map marks is one this read proved is on the device.
+        if (run.tracks.size() !=
+            (run.archived ? 0 : (run.byte_len + cap - 1) / cap)) {
+          verified =
+              Status::Corruption("tier run tracks do not fit its length");
           break;
         }
-        auto decoded = DecodeRun(blob.value(), symbols_);
-        if (!decoded.ok() || decoded.value().run_id != run.id) {
-          last_error = decoded.ok()
-                           ? Status::Corruption("tier run id mismatch")
-                           : decoded.status();
-          runs_ok = false;
+        auto bytes = ReadRunBytesLocked(level, run, 0, run.byte_len);
+        auto decoded = bytes.ok() ? DecodeRun(bytes.value(), symbols_)
+                                  : Result<DecodedRun>(bytes.status());
+        if (!decoded.ok()) {
+          verified = decoded.status();
+          break;
+        }
+        if (decoded.value().run_id != run.id) {
+          verified = Status::Corruption("tier run id mismatch");
           break;
         }
         run.fences =
             BuildFences(decoded.value().records, decoded.value().offsets);
       }
-      if (!runs_ok) {
+      if (!verified.ok()) {
+        last_error = verified;
         recovery_fallbacks_.Increment();
         continue;
       }
@@ -234,28 +187,13 @@ Status TierStore::Open() {
       level.catalog_tracks = std::move(catalog_tracks);
       level.runs = std::move(runs);
       next_run_id_ = std::max(next_run_id_, catalog_next_id);
-      RecomputeFreeLocked(level);
+      RebuildTracksLocked(level);
       adopted = true;
-      break;
     }
     if (!adopted) {
       return last_error.ok()
                  ? Status::Corruption("tier level unrecoverable")
                  : last_error;
-    }
-    // Blobs any *parseable* candidate references stay (the older root is
-    // the fallback if the adopted slot's catalog track rots later —
-    // exactly the engine's shadow-retention rule).
-    for (const RootState& root : candidates) {
-      if (root.index.empty()) continue;
-      auto bytes = ReadLevelCatalog(*level.commits, root);
-      if (!bytes.ok()) continue;
-      std::uint64_t ignored = 0;
-      auto parsed = DecodeLevelCatalog(bytes.value(), &ignored);
-      if (!parsed.ok()) continue;
-      for (const RunState& run : parsed.value()) {
-        if (run.archived) referenced_blobs.insert(run.id);
-      }
     }
   }
   if (archive_ != nullptr) {
@@ -287,34 +225,52 @@ std::vector<TierStore::Fence> TierStore::BuildFences(
   return fences;
 }
 
-void TierStore::RecomputeFreeLocked(Level& level) {
-  std::unordered_set<TrackId> used;
-  for (TrackId t : level.catalog_tracks) used.insert(t);
-  for (const RunState& run : level.runs) {
-    for (TrackId t : run.tracks) used.insert(t);
-  }
-  level.free_tracks.clear();
-  for (TrackId t = CommitManager::kFirstDataTrack;
-       t < level.disk->num_tracks(); ++t) {
-    if (used.count(t) == 0) level.free_tracks.insert(t);
-  }
+TierStore::RunState TierStore::BuildRunLocked(
+    const std::vector<VersionRecord>& records,
+    std::vector<std::uint8_t>* bytes) {
+  RunState run;
+  run.id = next_run_id_++;
+  EncodedRun encoded = EncodeRun(run.id, records, *symbols_);
+  run.record_count = static_cast<std::uint32_t>(records.size());
+  const auto [earliest, latest] = std::minmax_element(
+      records.begin(), records.end(),
+      [](const VersionRecord& a, const VersionRecord& b) {
+        return a.time < b.time;
+      });
+  run.min_time = earliest->time;
+  run.max_time = latest->time;
+  run.min_oid = records.front().oid;
+  run.max_oid = records.back().oid;
+  run.byte_len = static_cast<std::uint32_t>(encoded.bytes.size());
+  run.checksum = Fnv1a(std::span<const std::uint8_t>(encoded.bytes)
+                           .first(encoded.bytes.size() - 8));
+  run.fences = BuildFences(records, encoded.offsets);
+  *bytes = std::move(encoded.bytes);
+  return run;
 }
 
-Result<std::vector<TrackId>> TierStore::AllocateLocked(Level& level,
-                                                       std::size_t n) {
-  if (level.free_tracks.size() < n) {
-    return Status::IoError("tier level full: need " + std::to_string(n) +
-                           " tracks, have " +
-                           std::to_string(level.free_tracks.size()));
+Result<TrackWrites> TierStore::PlaceRunLocked(
+    Level& level, RunState& run, const std::vector<std::uint8_t>& bytes) {
+  const std::size_t cap = level.disk->track_capacity();
+  GS_ASSIGN_OR_RETURN(run.tracks,
+                      level.tracks.Allocate((bytes.size() + cap - 1) / cap));
+  TrackWrites writes;
+  for (std::size_t i = 0; i < run.tracks.size(); ++i) {
+    const std::size_t begin = i * cap;
+    const std::size_t end = std::min(bytes.size(), begin + cap);
+    writes.emplace_back(run.tracks[i], std::vector<std::uint8_t>(
+                                           bytes.begin() + begin,
+                                           bytes.begin() + end));
   }
-  std::vector<TrackId> out;
-  out.reserve(n);
-  auto it = level.free_tracks.begin();
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(*it);
-    it = level.free_tracks.erase(it);
+  return writes;
+}
+
+void TierStore::RebuildTracksLocked(Level& level) {
+  level.tracks.Reset(level.disk->num_tracks());
+  for (TrackId t : level.catalog_tracks) level.tracks.MarkUsed(t);
+  for (const RunState& run : level.runs) {
+    for (TrackId t : run.tracks) level.tracks.MarkUsed(t);
   }
-  return out;
 }
 
 std::vector<std::uint8_t> TierStore::EncodeLevelCatalogLocked(
@@ -380,48 +336,27 @@ Result<std::vector<TierStore::RunState>> TierStore::DecodeLevelCatalog(
 Status TierStore::FlipLevelLocked(
     Level& level, std::vector<RunState> next_runs,
     const TrackWrites& data_tracks) {
-  // The level catalog is small: every flip rewrites all of it, the
-  // stream cut into leaves with index pages over them, all packed onto
-  // fresh page tracks.
-  const std::vector<std::uint8_t> catalog_bytes =
+  // The level catalog is small: every flip rewrites all of it onto fresh
+  // page tracks.
+  const std::vector<std::uint8_t> catalog =
       EncodeLevelCatalogLocked(next_runs);
-  constexpr std::size_t kBody = CommitManager::kPageBodyBytes;
-  constexpr std::size_t kRefs = CommitManager::kRefsPerIndexPage;
-  auto cat_tracks = AllocateLocked(
-      level, CatalogPageTracks(*level.commits, catalog_bytes.size()));
-  if (!cat_tracks.ok()) {
-    RecomputeFreeLocked(level);
-    return cat_tracks.status();
+  auto page_tracks =
+      level.tracks.Allocate(level.commits->StreamPageTracks(catalog.size()));
+  Status st = page_tracks.status();
+  if (st.ok()) {
+    st = level.commits->CommitStream(data_tracks, catalog, page_tracks.value(),
+                                     level.epoch + 1);
   }
-  CommitManager::PageTrackWriter writer(cat_tracks.value(),
-                                        level.commits->pages_per_track());
-  std::vector<PageRef> leaf_refs;
-  for (std::size_t begin = 0; begin < catalog_bytes.size(); begin += kBody) {
-    leaf_refs.push_back(writer.Add(std::span<const std::uint8_t>(
-        catalog_bytes.data() + begin,
-        std::min(kBody, catalog_bytes.size() - begin))));
+  if (st.ok()) {
+    ++level.epoch;
+    level.catalog_tracks = std::move(page_tracks).value();
+    level.runs = std::move(next_runs);
   }
-  std::vector<PageRef> index;
-  for (std::size_t begin = 0; begin < leaf_refs.size(); begin += kRefs) {
-    index.push_back(writer.Add(CommitManager::EncodeIndexPage(
-        std::span<const PageRef>(leaf_refs).subspan(
-            begin, std::min(kRefs, leaf_refs.size() - begin)))));
-  }
-  const TrackWrites page_writes = writer.Take();
-  const Status st = level.commits->CommitGroup(data_tracks, page_writes,
-                                               index, level.epoch + 1);
-  if (!st.ok()) {
-    // Previous root still rules the device; drop the speculative
-    // allocations so in-memory bookkeeping matches it again.
-    RecomputeFreeLocked(level);
-    return st;
-  }
-  ++level.epoch;
-  level.catalog_tracks = std::move(cat_tracks).value();
-  level.runs = std::move(next_runs);
-  RecomputeFreeLocked(level);
-  SyncMirrorsLocked();
-  return Status::OK();
+  // The map follows whichever catalog now rules the device; after a
+  // failure that drops this flip's speculative allocations.
+  RebuildTracksLocked(level);
+  if (st.ok()) SyncMirrorsLocked();
+  return st;
 }
 
 Status TierStore::AppendRun(const std::vector<VersionRecord>& records) {
@@ -442,48 +377,24 @@ Status TierStore::AppendRunLocked(const std::vector<VersionRecord>& records) {
 
   Level& level = levels_.front();
   const std::size_t cap = level.disk->track_capacity();
-  const std::uint64_t id = next_run_id_++;
-  EncodedRun encoded = EncodeRun(id, sorted, *symbols_);
-  const std::size_t n_data = (encoded.bytes.size() + cap - 1) / cap;
+  std::vector<std::uint8_t> bytes;
+  RunState run = BuildRunLocked(sorted, &bytes);
+  const std::size_t n_data = (bytes.size() + cap - 1) / cap;
 
   // One forced merge downward when L1 is too full to shadow the new run:
   // its data, and the level catalog rewritten with one more entry.
   const std::size_t catalog_bytes =
       EncodeLevelCatalogLocked(level.runs).size() + kRunEntryBytes +
       4 * n_data;
-  if (level.free_tracks.size() <
-          n_data + CatalogPageTracks(*level.commits, catalog_bytes) &&
+  if (level.tracks.free_count() <
+          n_data + level.commits->StreamPageTracks(catalog_bytes) &&
       !level.runs.empty()) {
     GS_RETURN_IF_ERROR(CompactLevelLocked(0, /*force=*/true));
   }
-  auto data_tracks = AllocateLocked(level, n_data);
-  if (!data_tracks.ok()) {
-    RecomputeFreeLocked(level);
-    return data_tracks.status();
-  }
-
-  RunState run;
-  run.id = id;
-  run.record_count = static_cast<std::uint32_t>(sorted.size());
-  run.min_time = sorted.front().time;
-  run.max_time = sorted.front().time;
-  for (const VersionRecord& r : sorted) {
-    run.min_time = std::min(run.min_time, r.time);
-    run.max_time = std::max(run.max_time, r.time);
-  }
-  run.min_oid = sorted.front().oid;
-  run.max_oid = sorted.back().oid;
-  run.byte_len = static_cast<std::uint32_t>(encoded.bytes.size());
-  run.checksum = Fnv1a(std::span<const std::uint8_t>(encoded.bytes)
-                           .first(encoded.bytes.size() - 8));
-  run.tracks = data_tracks.value();
-  run.fences = BuildFences(sorted, encoded.offsets);
-
+  GS_ASSIGN_OR_RETURN(TrackWrites data, PlaceRunLocked(level, run, bytes));
   std::vector<RunState> next_runs = level.runs;
   next_runs.push_back(std::move(run));
-  GS_RETURN_IF_ERROR(FlipLevelLocked(
-      level, std::move(next_runs),
-      ChunkToTracks(encoded.bytes, data_tracks.value(), cap)));
+  GS_RETURN_IF_ERROR(FlipLevelLocked(level, std::move(next_runs), data));
   migrations_.Increment();
   records_demoted_.Increment(sorted.size());
   return Status::OK();
@@ -535,40 +446,22 @@ Status TierStore::CompactLevelLocked(std::size_t level_index, bool force) {
   SortAndDedupe(&merged);
   if (merged.empty()) return Status::OK();
 
-  const std::uint64_t id = next_run_id_++;
-  EncodedRun encoded = EncodeRun(id, merged, *symbols_);
-
-  RunState run;
-  run.id = id;
-  run.record_count = static_cast<std::uint32_t>(merged.size());
-  run.min_time = merged.front().time;
-  run.max_time = merged.front().time;
-  for (const VersionRecord& r : merged) {
-    run.min_time = std::min(run.min_time, r.time);
-    run.max_time = std::max(run.max_time, r.time);
-  }
-  run.min_oid = merged.front().oid;
-  run.max_oid = merged.back().oid;
-  run.byte_len = static_cast<std::uint32_t>(encoded.bytes.size());
-  run.checksum = Fnv1a(std::span<const std::uint8_t>(encoded.bytes)
-                           .first(encoded.bytes.size() - 8));
-  run.fences = BuildFences(merged, encoded.offsets);
+  std::vector<std::uint8_t> bytes;
+  RunState run = BuildRunLocked(merged, &bytes);
 
   if (deepest && archive_ != nullptr) {
     // Fold the level — platter runs plus any previous mega-run — into one
     // archive blob. Store the blob first, then flip the catalog; a crash
     // between the two orphans the blob (GC'd at Open), never loses a run.
     run.archived = true;
-    GS_RETURN_IF_ERROR(archive_->StoreRun(id, encoded.bytes));
+    GS_RETURN_IF_ERROR(archive_->StoreRun(run.id, bytes));
     const Status st = FlipLevelLocked(src, {run}, {});
     if (!st.ok()) {
-      (void)archive_->DropRun(id);
+      (void)archive_->DropRun(run.id);
       return st;
     }
     for (std::uint64_t old_id : source_ids) {
-      if (old_id != id && archive_ != nullptr) {
-        (void)archive_->DropRun(old_id);
-      }
+      if (old_id != run.id) (void)archive_->DropRun(old_id);
     }
     archive_merges_.Increment();
     telemetry::FlightRecorder::Global().Record(
@@ -580,21 +473,11 @@ Status TierStore::CompactLevelLocked(std::size_t level_index, bool force) {
 
   Level& dst = deepest ? src : levels_[level_index + 1];
   if (deepest && src.runs.size() <= 1) return Status::OK();
-  const std::size_t cap = dst.disk->track_capacity();
-  const std::size_t n_data = (encoded.bytes.size() + cap - 1) / cap;
-  auto data_tracks = AllocateLocked(dst, n_data);
-  if (!data_tracks.ok()) {
-    RecomputeFreeLocked(dst);
-    return data_tracks.status();
-  }
-  run.tracks = data_tracks.value();
-
+  GS_ASSIGN_OR_RETURN(TrackWrites data, PlaceRunLocked(dst, run, bytes));
   std::vector<RunState> dst_next = dst.runs;
   if (deepest) dst_next.clear();  // self-merge replaces the level wholesale
   dst_next.push_back(std::move(run));
-  GS_RETURN_IF_ERROR(FlipLevelLocked(
-      dst, std::move(dst_next),
-      ChunkToTracks(encoded.bytes, data_tracks.value(), cap)));
+  GS_RETURN_IF_ERROR(FlipLevelLocked(dst, std::move(dst_next), data));
   if (!deepest) {
     // Destination is durable; empty the source. A crash (or fault) right
     // here leaves the same records on both levels — resolution takes the
@@ -824,7 +707,7 @@ std::vector<TierLevelStats> TierStore::LevelStats() const {
       s.records += run.record_count;
       s.bytes += run.byte_len;
     }
-    s.free_tracks = level.free_tracks.size();
+    s.free_tracks = level.tracks.free_count();
     s.epoch = level.epoch;
     stats.push_back(s);
   }

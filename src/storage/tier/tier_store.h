@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -20,6 +19,7 @@
 #include "storage/simulated_disk.h"
 #include "storage/tier/cold_run.h"
 #include "storage/tier/version_record.h"
+#include "storage/track_map.h"
 #include "telemetry/metrics.h"
 
 namespace gemstone::storage::tier {
@@ -156,7 +156,7 @@ class TierStore {
     std::unique_ptr<CommitManager> commits;
     std::uint64_t epoch = 0;
     std::vector<TrackId> catalog_tracks;  // the level catalog's page tracks
-    std::set<TrackId> free_tracks;
+    TrackMap tracks;
     std::vector<RunState> runs;
     telemetry::Histogram* read_us = nullptr;  // storage.tier.l<k>.read_us
   };
@@ -166,11 +166,19 @@ class TierStore {
 
   Status FlipLevelLocked(Level& level, std::vector<RunState> next_runs,
                          const TrackWrites& data_tracks) GS_REQUIRES(mu_);
-  Result<std::vector<TrackId>> AllocateLocked(Level& level, std::size_t n)
-      GS_REQUIRES(mu_);
-  /// Rebuilds the free set from the level's adopted runs + catalog — the
+  /// Rebuilds the track map from the level's adopted runs + catalog — the
   /// single undo/commit point for track bookkeeping on both flip paths.
-  void RecomputeFreeLocked(Level& level) GS_REQUIRES(mu_);
+  void RebuildTracksLocked(Level& level) GS_REQUIRES(mu_);
+
+  /// A fresh run over `records` (RecordOrder-sorted, non-empty): its
+  /// catalog entry, with no tracks placed yet; `bytes` receives the run.
+  RunState BuildRunLocked(const std::vector<VersionRecord>& records,
+                          std::vector<std::uint8_t>* bytes) GS_REQUIRES(mu_);
+  /// Takes the lowest free tracks of `level` for `bytes` into
+  /// `run.tracks`; answers their writes.
+  Result<TrackWrites> PlaceRunLocked(Level& level, RunState& run,
+                                     const std::vector<std::uint8_t>& bytes)
+      GS_REQUIRES(mu_);
   std::vector<std::uint8_t> EncodeLevelCatalogLocked(
       const std::vector<RunState>& runs) const GS_REQUIRES(mu_);
   Result<std::vector<RunState>> DecodeLevelCatalog(
@@ -225,8 +233,6 @@ class TierStore {
   std::atomic<std::uint64_t> level_records_[kMaxMirroredLevels] = {};
   std::atomic<std::uint64_t> level_bytes_[kMaxMirroredLevels] = {};
   telemetry::Registration telemetry_;  // after everything it samples
-
-  friend class TierStoreTestPeer;
 };
 
 }  // namespace gemstone::storage::tier

@@ -70,6 +70,22 @@ TEST_F(OpalEdgeTest, NestedClosuresShareOuterTemps) {
             Value::Integer(2));
 }
 
+// A block stored into a temp of the environment it captured is a
+// reference cycle, which the interpreter frees when its Run ends unless
+// something outside still reaches it: here globals do, across Runs, and
+// the cycle is freed once they let go (the sanitizer build's leak check
+// sees the difference).
+TEST_F(OpalEdgeTest, EscapedClosureCyclesKeepTheirTemps) {
+  Eval("| n bump | n := 0. bump := [:d | n := n + d. bump]. "
+       "Bump := bump. Peek := [n]");
+  EXPECT_EQ(Eval("(Bump value: 5) value: 2. Peek value"), Value::Integer(7));
+  EXPECT_EQ(Eval("Bump value: 1. Peek value"), Value::Integer(8));
+  Eval("Bump := nil. Peek := nil");
+  EXPECT_EQ(Eval("| n bump | n := 1. bump := [n := n * 2. bump]. "
+                 "bump value value. n"),
+            Value::Integer(4));
+}
+
 TEST_F(OpalEdgeTest, NonLocalReturnThroughNestedBlocks) {
   Eval("Object subclass: 'Search' instVarNames: #()");
   Eval("Search compileMethod: 'findPairIn: coll "

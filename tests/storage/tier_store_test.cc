@@ -295,6 +295,111 @@ TEST(TierStoreTest, OpenRecoversEveryLevelFromPlatters) {
             Value::Integer(3));
 }
 
+// Records for one multi-track run: `count` bindings of distinct oids.
+std::vector<VersionRecord> WideRun(int first_oid, int count, TxnTime t) {
+  std::vector<VersionRecord> records;
+  for (int i = 0; i < count; ++i) {
+    records.push_back(Named(static_cast<std::uint64_t>(first_oid + i), "f", t,
+                            Value::String(std::string(40, 'a' + i % 26))));
+  }
+  return Sorted(std::move(records));
+}
+
+// Every level's track map, kept up to date across appends, a level merge
+// and an archive merge, counts exactly the free tracks a fresh Open
+// rebuilds from the platters.
+TEST(TierStoreTest, TrackMapsMatchAFreshOpen) {
+  SymbolTable symbols;
+  ArchivalStore archive;
+  TierStore store(&symbols, &archive,
+                  SmallOptions(/*levels=*/2, /*runs_per_level=*/1));
+  ASSERT_TRUE(store.Format().ok());
+  const auto expect_matches_open = [&](const char* step) {
+    const std::vector<TierLevelStats> live = store.LevelStats();
+    ASSERT_TRUE(store.Open().ok()) << step;
+    const std::vector<TierLevelStats> reopened = store.LevelStats();
+    ASSERT_EQ(live.size(), reopened.size()) << step;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(live[i].free_tracks, reopened[i].free_tracks)
+          << step << ", level " << i;
+    }
+  };
+  ASSERT_TRUE(store.AppendRun(WideRun(1, 40, 1)).ok());
+  ASSERT_TRUE(store.AppendRun(WideRun(1, 40, 2)).ok());
+  expect_matches_open("appends");
+  ASSERT_TRUE(store.MaybeCompact().ok());  // L1 merges into L2
+  EXPECT_EQ(store.counters().compactions, 1u);
+  EXPECT_EQ(store.counters().archive_merges, 0u);
+  expect_matches_open("level merge");
+  ASSERT_TRUE(store.AppendRun(WideRun(1, 40, 3)).ok());
+  ASSERT_TRUE(store.AppendRun(WideRun(1, 40, 4)).ok());
+  ASSERT_TRUE(store.MaybeCompact().ok());  // L1 into L2, then L2 archives
+  EXPECT_EQ(store.counters().archive_merges, 1u);
+  expect_matches_open("archive merge");
+  EXPECT_EQ(store.ResolveNamed(Oid(1), "f", 9).ValueOrDie()->time, 4u);
+}
+
+// A flip whose root write fails leaves the level's track map as it was:
+// the run's data and page tracks go back, and the next append succeeds.
+TEST(TierStoreTest, FailedRootWriteLeavesTheTrackMapUnchanged) {
+  SymbolTable symbols;
+  TierStore store(&symbols, nullptr, SmallOptions());
+  ASSERT_TRUE(store.Format().ok());
+  SimulatedDisk* l1 = store.level_disk(0);
+  // A first append of the same shape counts an append's writes: its data
+  // tracks, its page tracks, then the root.
+  const std::uint64_t before_first = l1->stats().tracks_written;
+  ASSERT_TRUE(store.AppendRun(WideRun(1, 40, 1)).ok());
+  const std::uint64_t writes = l1->stats().tracks_written - before_first;
+  ASSERT_GE(writes, 3u);  // the run spans tracks, then catalog and root
+  const std::size_t free_before = store.LevelStats()[0].free_tracks;
+
+  l1->InjectWriteFailureAfter(writes - 1);  // every write but the root
+  EXPECT_FALSE(store.AppendRun(WideRun(1, 40, 2)).ok());
+  EXPECT_EQ(store.LevelStats()[0].free_tracks, free_before);
+  EXPECT_EQ(store.LevelStats()[0].runs, 1u);
+
+  l1->ClearFault();
+  ASSERT_TRUE(store.AppendRun(WideRun(1, 40, 3)).ok());
+  EXPECT_EQ(store.LevelStats()[0].runs, 2u);
+  EXPECT_EQ(store.ResolveNamed(Oid(1), "f", 2).ValueOrDie()->time, 1u);
+  EXPECT_EQ(store.ResolveNamed(Oid(40), "f", 3).ValueOrDie()->time, 3u);
+}
+
+// A level catalog whose run names one track more than its bytes fill — a
+// track beyond the device — is corrupt: Open falls back to the older root
+// instead of marking that track in the level's map.
+TEST(TierStoreTest, OpenFallsBackOnARunNamingTracksItDoesNotFill) {
+  SymbolTable symbols;
+  TierStore store(&symbols, nullptr, SmallOptions());
+  ASSERT_TRUE(store.Format().ok());
+  ASSERT_TRUE(store.AppendRun(WideRun(1, 40, 1)).ok());
+  SimulatedDisk* l1 = store.level_disk(0);
+
+  // Rewrite the catalog with the run's track count one higher and one
+  // more track id, 1000, past the 32-track device; flip it in as a newer
+  // root on the device's last track.
+  CommitManager commits(l1);
+  const RootState root = commits.RecoverRoot().ValueOrDie();
+  std::vector<std::uint8_t> stream = commits.ReadStream(root).ValueOrDie();
+  // Header: magic, next run id, run count; the one run's track count
+  // closes its fixed-size entry.
+  constexpr std::size_t kTrackCountAt = 4 + 8 + 4 + 8 + 1 + 4 + 8 + 8 + 8 +
+                                        8 + 4 + 8;
+  ASSERT_GT(stream.size(), kTrackCountAt + 4);
+  ++stream[kTrackCountAt];
+  for (std::uint8_t b : {0xE8, 0x03, 0x00, 0x00}) stream.push_back(b);
+  ASSERT_EQ(commits.StreamPageTracks(stream.size()), 1u);
+  ASSERT_TRUE(
+      commits.CommitStream({}, stream, {l1->num_tracks() - 1}, root.epoch + 1)
+          .ok());
+
+  ASSERT_TRUE(store.Open().ok());
+  EXPECT_EQ(store.counters().recovery_fallbacks, 1u);
+  EXPECT_EQ(store.LevelStats()[0].runs, 1u);
+  EXPECT_EQ(store.ResolveNamed(Oid(1), "f", 1).ValueOrDie()->time, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // TransactionManager integration: demotion must be invisible to readers.
 // ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ that generic tools cannot know about (DESIGN.md §12–§13):
                        strictly below the executor lattice: it may not
                        acquire a gateway/executor/opal LockRank, nor
                        include those layers' headers (DESIGN.md §15).
+                       Nor may it name the catalog page layout, which
+                       sits behind CommitManager's whole-stream calls.
   net-policy           The gateway (src/net/) carries requests; it does not
                        decide how they run. It may not name the snapshot
                        pin, SafeTime, the read-path eligibility predicates,
@@ -115,6 +117,13 @@ TIER_RANK_RE = re.compile(
     r"ExecutorSessions|OpalGlobals)\b"
 )
 TIER_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"((?:net|executor|opal)/[^"]*)"')
+# A level catalog is one stream that CommitManager::CommitStream lays out
+# and ReadStream reads back; tier code naming the page tree's internals
+# has grown a second copy of that layout.
+TIER_LAYOUT_RE = re.compile(
+    r"\b(?:kPageBodyBytes|kRefsPerIndexPage|EncodeIndexPage|PageTrackWriter|"
+    r"PageTree|ReadTree)\b"
+)
 
 # -- net-policy --------------------------------------------------------------
 # Executor::RunRequest owns the execution policy; a gateway that pins,
@@ -391,6 +400,20 @@ def check_tier_isolation(path, raw_lines, code_lines, findings):
                     f"tier code references executor-lattice rank "
                     f"'{m.group(0)}'; the compaction thread must stay "
                     "below kTxnStore (DESIGN.md §15)",
+                )
+            )
+            continue
+        m = TIER_LAYOUT_RE.search(line)
+        if m and not allowed("tier-isolation", raw_lines, i + 1):
+            findings.append(
+                Finding(
+                    path,
+                    i + 1,
+                    "tier-isolation",
+                    f"tier code names the catalog page layout "
+                    f"('{m.group(0)}'); a level catalog is one stream — "
+                    "use CommitManager::CommitStream / ReadStream "
+                    "(DESIGN.md §15.2)",
                 )
             )
             continue
